@@ -29,7 +29,7 @@ fn bench_flow(c: &mut Criterion) {
     // Backend comparison on the full pipeline.
     for (name, backend) in [
         ("explicit", Backend::Explicit),
-        ("symbolic", Backend::Symbolic),
+        ("symbolic-set", Backend::SymbolicSet),
     ] {
         group.bench_with_input(
             BenchmarkId::new("backend", name),

@@ -31,40 +31,12 @@ pub struct SymbolicReachability {
     pub iterations: usize,
 }
 
-/// Result of a symbolic reachability run inside a caller-owned manager
-/// (see [`symbolic_reachability_bounded_in`]): the same artifacts as
-/// [`SymbolicReachability`] minus the manager itself.
-#[derive(Debug, Clone, Copy)]
-pub struct SymbolicRun {
-    /// Characteristic function of the reachable markings, over the
-    /// current-state variables.
-    pub reached: Bdd,
-    /// Number of reachable markings.
-    pub num_markings: u128,
-    /// Number of image-computation iterations until the fixed point.
-    pub iterations: usize,
-}
-
 fn cur_var(p: PlaceId) -> VarId {
     2 * p.0
 }
 
 fn next_var(p: PlaceId) -> VarId {
     2 * p.0 + 1
-}
-
-/// The current-state BDD variable of a place. Part of the public encoding
-/// contract so other crates (e.g. the symbolic state-space backend in
-/// `stg`) can decode satisfying assignments of [`SymbolicReachability::reached`].
-#[must_use]
-pub fn current_var(p: PlaceId) -> VarId {
-    cur_var(p)
-}
-
-/// The next-state BDD variable of a place (see [`current_var`]).
-#[must_use]
-pub fn next_state_var(p: PlaceId) -> VarId {
-    next_var(p)
 }
 
 /// Computes the reachability set of a safe net symbolically.
@@ -80,50 +52,7 @@ pub fn next_state_var(p: PlaceId) -> VarId {
 /// explicitly with the explicit checker when in doubt).
 #[must_use]
 pub fn symbolic_reachability(net: &PetriNet) -> SymbolicReachability {
-    symbolic_reachability_bounded(net, u128::MAX).expect("unbounded call cannot hit the limit")
-}
-
-/// [`symbolic_reachability`] with a marking-count limit checked after
-/// every image iteration, so state-exploding nets abort mid-traversal
-/// instead of paying the full fixed point (mirrors the explicit
-/// builder's mid-BFS cutoff).
-///
-/// # Errors
-///
-/// [`crate::reach::ReachError::StateLimit`] when the reached set exceeds
-/// `max_markings` at any iteration.
-pub fn symbolic_reachability_bounded(
-    net: &PetriNet,
-    max_markings: u128,
-) -> Result<SymbolicReachability, crate::reach::ReachError> {
     let mut m = Manager::new();
-    let run = symbolic_reachability_bounded_in(&mut m, net, max_markings)?;
-    Ok(SymbolicReachability {
-        manager: m,
-        reached: run.reached,
-        num_markings: run.num_markings,
-        iterations: run.iterations,
-    })
-}
-
-/// [`symbolic_reachability_bounded`] inside a caller-owned BDD manager,
-/// so repeated traversals of structurally similar nets (e.g. the CSC
-/// candidate sweep, where every candidate shares the base net's places)
-/// reuse the manager's unique table and operation caches instead of
-/// rebuilding every relation node from scratch.
-///
-/// The caller must only reuse a manager across nets with the **same
-/// place count** — the variable universe is `2 × places` and marking
-/// counts divide by it (`stg::BuildContext` enforces this).
-///
-/// # Errors
-///
-/// See [`symbolic_reachability_bounded`].
-pub fn symbolic_reachability_bounded_in(
-    m: &mut Manager,
-    net: &PetriNet,
-    max_markings: u128,
-) -> Result<SymbolicRun, crate::reach::ReachError> {
     // Touch all variables to fix the universe.
     for p in net.places() {
         m.var(cur_var(p));
@@ -176,12 +105,6 @@ pub fn symbolic_reachability_bounded_in(
     let mut reached = init;
     let mut frontier = init;
     let mut iterations = 0usize;
-    let count_markings = |m: &mut Manager, reached: Bdd| {
-        // Count over current variables only: quantify out next vars first.
-        let only_cur = m.exists(reached, &next_vars);
-        let total = m.sat_count(only_cur, m.var_count());
-        total >> next_vars.len()
-    };
     while !frontier.is_zero() {
         iterations += 1;
         let mut image_next = Manager::zero();
@@ -192,18 +115,17 @@ pub fn symbolic_reachability_bounded_in(
         let image = m.rename(image_next, &next_vars, &cur_vars);
         frontier = m.diff(image, reached);
         reached = m.or(reached, frontier);
-        if max_markings < u128::MAX && count_markings(&mut *m, reached) > max_markings {
-            let limit = usize::try_from(max_markings).unwrap_or(usize::MAX);
-            return Err(crate::reach::ReachError::StateLimit(limit));
-        }
     }
 
-    let num_markings = count_markings(&mut *m, reached);
-    Ok(SymbolicRun {
+    // Count over current variables only: quantify out next vars first.
+    let only_cur = m.exists(reached, &next_vars);
+    let num_markings = m.sat_count(only_cur, m.var_count()) >> next_vars.len();
+    SymbolicReachability {
+        manager: m,
         reached,
         num_markings,
         iterations,
-    })
+    }
 }
 
 /// Symbolic safeness check over an already-computed reachability set.
@@ -221,19 +143,11 @@ pub fn symbolic_reachability_bounded_in(
 /// explicit checker's bound-violation report.
 #[must_use]
 pub fn unsafe_witness(net: &PetriNet, sym: &mut SymbolicReachability) -> Option<Marking> {
-    let reached = sym.reached;
-    unsafe_witness_in(net, &mut sym.manager, reached)
-}
-
-/// [`unsafe_witness`] over a caller-owned manager (the shared-manager
-/// counterpart used with [`symbolic_reachability_bounded_in`]).
-#[must_use]
-pub fn unsafe_witness_in(net: &PetriNet, manager: &mut Manager, reached: Bdd) -> Option<Marking> {
+    let m = &mut sym.manager;
     for t in net.transitions() {
         let pre = net.preset(t).to_vec();
         let post = net.postset(t).to_vec();
-        let m = &mut *manager;
-        let mut enabled = reached;
+        let mut enabled = sym.reached;
         for &p in &pre {
             let v = m.var(cur_var(p));
             enabled = m.and(enabled, v);

@@ -5,7 +5,7 @@ use crate::generators;
 use crate::invariant::{dense_encoding, place_invariants, sm_components, transition_invariants};
 use crate::reach::{ReachError, ReachabilityGraph};
 use crate::reduce::reduce_linear;
-use crate::symbolic::{compare_exact_vs_approximation, symbolic_reachability};
+use crate::symbolic::{compare_exact_vs_approximation, symbolic_reachability, unsafe_witness};
 use crate::unfold::{Ordering, Unfolding};
 use crate::{Marking, PetriNet};
 
@@ -234,6 +234,27 @@ fn symbolic_matches_explicit() {
         let sym = symbolic_reachability(&net);
         assert_eq!(sym.num_markings, rg.num_states() as u128);
     }
+}
+
+#[test]
+fn unsafe_witness_guards_the_safe_fragment() {
+    let safe = generators::pipeline(3);
+    let mut sym = symbolic_reachability(&safe);
+    assert_eq!(unsafe_witness(&safe, &mut sym), None);
+
+    // p → t → q with q already marked: firing t puts a second token on q.
+    let mut net = PetriNet::new();
+    let p = net.add_place("p", 1);
+    let q = net.add_place("q", 1);
+    let t = net.add_transition("t");
+    let u = net.add_transition("u");
+    net.add_arc_place_to_transition(p, t);
+    net.add_arc_transition_to_place(t, q);
+    net.add_arc_place_to_transition(q, u);
+    net.add_arc_transition_to_place(u, p);
+    let mut sym = symbolic_reachability(&net);
+    let witness = unsafe_witness(&net, &mut sym).expect("unsafe net yields a witness");
+    assert!(!witness.is_safe(), "{witness:?}");
 }
 
 #[test]

@@ -23,7 +23,7 @@
 //!
 //! synth options:
 //!   --arch complex|celement|rs|decomposed   (default: complex)
-//!   --backend explicit|symbolic|symbolic-set  (default: explicit)
+//!   --backend explicit|symbolic-set         (default: explicit)
 //!   --csc auto|insertion|reduction|fail     (default: auto)
 //!   --csc-threads N                         CSC sweep workers (0 = per core)
 //!   --csc-bound N                           CSC per-candidate state bound

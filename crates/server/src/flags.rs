@@ -18,7 +18,7 @@ use crate::protocol::Priority;
 /// Parsed common flags, with their defaults.
 #[derive(Debug, Clone)]
 pub struct CliFlags {
-    /// `--backend explicit|symbolic|symbolic-set`.
+    /// `--backend explicit|symbolic-set`.
     pub backend: Backend,
     /// `--json`: machine-readable output.
     pub json: bool,
@@ -296,13 +296,20 @@ mod tests {
 
     #[test]
     fn accepts_allowed_flags_and_rejects_others() {
-        let args: Vec<String> = ["--backend", "symbolic", "--json"]
+        let args: Vec<String> = ["--backend", "symbolic-set", "--json"]
             .iter()
             .map(ToString::to_string)
             .collect();
         let flags = parse_flags(&args, &["--backend", "--json"]).expect("parses");
-        assert_eq!(flags.backend, asyncsynth::Backend::Symbolic);
+        assert_eq!(flags.backend, asyncsynth::Backend::SymbolicSet);
         assert!(flags.json);
+
+        let removed = ["--backend".to_owned(), "symbolic".to_owned()];
+        let err = parse_flags(&removed, &["--backend"]).expect_err("symbolic is not a backend");
+        assert!(
+            err.contains("\"explicit\"") && err.contains("\"symbolic-set\""),
+            "the error names both backends: {err}"
+        );
 
         let err = parse_flags(&args, &["--json"]).expect_err("backend not allowed");
         assert!(err.contains("--backend"), "{err}");

@@ -727,7 +727,7 @@ mod tests {
                 spec_text: ".model m\n.outputs x\n.graph\nx+ x-\nx- x+\n.marking {<x-,x+>}\n.end\n"
                     .to_owned(),
                 options: asyncsynth::SynthesisOptions {
-                    backend: asyncsynth::Backend::Symbolic,
+                    backend: asyncsynth::Backend::SymbolicSet,
                     max_fanin: Some(3),
                     sweep: asyncsynth::SweepOptions {
                         threads: 4,
@@ -845,6 +845,7 @@ mod tests {
             "{\"op\":\"warp\"}",
             "{\"op\":\"cancel\"}",
             "{\"op\":\"synth\",\"spec\":\"x\",\"backend\":\"quantum\"}",
+            "{\"op\":\"synth\",\"spec\":\"x\",\"backend\":\"symbolic\"}",
             "{\"op\":\"batch\"}",
             "{\"op\":\"batch\",\"specs\":[]}",
             "{\"op\":\"batch\",\"specs\":[\"x\",7]}",
@@ -854,6 +855,12 @@ mod tests {
                 "{bad:?} must be rejected"
             );
         }
+        let err = Request::parse_line("{\"op\":\"check\",\"spec\":\"x\",\"backend\":\"symbolic\"}")
+            .expect_err("symbolic is not a backend");
+        assert!(
+            err.contains("\"explicit\"") && err.contains("\"symbolic-set\""),
+            "the error names both backends: {err}"
+        );
     }
 
     #[test]

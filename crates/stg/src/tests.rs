@@ -328,14 +328,18 @@ fn excitations_and_regions_of_initial_state() {
 mod state_space_backends {
     use super::*;
     use crate::state_space::{Backend, StateSpace};
-    use crate::symbolic::SymbolicStateSpace;
+    use crate::symbolic_set::SymbolicSetSpace;
 
     #[test]
     fn backend_parses_and_displays() {
         assert_eq!("explicit".parse::<Backend>().unwrap(), Backend::Explicit);
-        assert_eq!("symbolic".parse::<Backend>().unwrap(), Backend::Symbolic);
+        assert_eq!(
+            "symbolic-set".parse::<Backend>().unwrap(),
+            Backend::SymbolicSet
+        );
         assert!("bdd".parse::<Backend>().is_err());
-        assert_eq!(Backend::Symbolic.to_string(), "symbolic");
+        assert!("symbolic".parse::<Backend>().is_err());
+        assert_eq!(Backend::SymbolicSet.to_string(), "symbolic-set");
         assert_eq!(Backend::default(), Backend::Explicit);
     }
 
@@ -348,7 +352,7 @@ mod state_space_backends {
             micropipeline(2),
         ] {
             let explicit = StateGraph::build(&spec).unwrap();
-            let symbolic = SymbolicStateSpace::build(&spec).unwrap();
+            let symbolic = SymbolicSetSpace::build(&spec).unwrap();
             assert_eq!(StateSpace::num_states(&explicit), symbolic.num_states());
             assert_eq!(
                 symbolic.stats().num_markings,
@@ -379,7 +383,7 @@ mod state_space_backends {
     fn property_checks_are_backend_independent() {
         for spec in [vme_read(), vme_read_csc(), vme_read_write()] {
             let explicit = Backend::Explicit.build(&spec).unwrap();
-            let symbolic = Backend::Symbolic.build(&spec).unwrap();
+            let symbolic = Backend::SymbolicSet.build(&spec).unwrap();
             assert_eq!(
                 csc_conflicts(&spec, &*explicit).len(),
                 csc_conflicts(&spec, &*symbolic).len()
@@ -396,10 +400,10 @@ mod state_space_backends {
     fn symbolic_space_respects_the_state_limit() {
         let spec = micropipeline(3); // 500 states
         assert!(matches!(
-            SymbolicStateSpace::build_bounded(&spec, 100),
+            SymbolicSetSpace::build_bounded(&spec, 100),
             Err(StgError::Reach(petri::reach::ReachError::StateLimit(100)))
         ));
-        assert!(SymbolicStateSpace::build_bounded(&spec, 500).is_ok());
+        assert!(SymbolicSetSpace::build_bounded(&spec, 500).is_ok());
     }
 
     #[test]
@@ -421,7 +425,7 @@ mod state_space_backends {
             Err(StgError::Reach(petri::reach::ReachError::BoundExceeded(_)))
         ));
         assert!(matches!(
-            SymbolicStateSpace::build(&spec),
+            SymbolicSetSpace::build(&spec),
             Err(StgError::Reach(petri::reach::ReachError::BoundExceeded(_)))
         ));
     }

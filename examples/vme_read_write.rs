@@ -69,10 +69,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Synthesise the full controller through the staged pipeline on the
-    // symbolic backend: the two CSC conflicts of Fig. 5 are resolved
+    // resident-BDD backend: the two CSC conflicts of Fig. 5 are resolved
     // automatically (a concurrency reduction plus a state signal).
-    println!("\n== synthesis (symbolic backend) ==");
-    let result = Synthesis::new(spec).backend(Backend::Symbolic).run()?;
+    println!("\n== synthesis (symbolic-set backend) ==");
+    let result = Synthesis::new(spec).backend(Backend::SymbolicSet).run()?;
     if let Some(t) = &result.transformation {
         println!("csc resolution: {t}");
     }

@@ -9,7 +9,7 @@
 //! use asyncsynth::{Backend, Synthesis};
 //!
 //! let checked = Synthesis::new(stg::examples::vme_read_csc())
-//!     .backend(Backend::Symbolic)
+//!     .backend(Backend::SymbolicSet)
 //!     .check()?;
 //! assert!(checked.report().is_implementable());
 //! let verified = checked.resolve_csc()?.synthesize()?.verify()?;
@@ -370,8 +370,7 @@ impl Verification {
     }
 }
 
-/// Structured diagnostics emitted by the pipeline stages, replacing the
-/// ad-hoc strings of the legacy `run_flow` API.
+/// Structured diagnostics emitted by the pipeline stages.
 #[derive(Debug, Clone)]
 pub enum FlowEvent {
     /// A state space was built.

@@ -3,9 +3,10 @@
 //! never *what* comes out. Serial vs parallel (1, 2, N threads) and
 //! pruned vs unpruned sweeps must produce identical candidate rankings,
 //! descriptions and winning equations on the three VME controllers and
-//! micropipeline(2), on both state-space backends; bound-skipped
-//! candidates must be reported, and no pipeline path may rebuild the
-//! winning candidate's state space.
+//! micropipeline(2); the reduction and mixed searches are also checked
+//! on the resident-BDD backend. Bound-skipped candidates must be
+//! reported, and no pipeline path may rebuild the winning candidate's
+//! state space.
 
 use asyncsynth::{
     run_cached_with, Backend, FlowEvent, FlowObserver, SweepOptions, Synthesis, SynthesisOptions,
@@ -67,21 +68,19 @@ fn fingerprint(sweep: &Sweep, spec_name: &str) -> Vec<(String, usize)> {
 #[test]
 fn parallel_sweep_is_byte_identical_to_serial() {
     for (name, spec) in sweep_specs() {
-        for backend in [Backend::Explicit, Backend::Symbolic] {
-            let serial = insertion_sweep(&spec, backend, &opts(1, false));
-            let baseline = fingerprint(&serial, name);
-            for threads in [2, 0] {
-                let parallel = insertion_sweep(&spec, backend, &opts(threads, false));
-                assert_eq!(
-                    fingerprint(&parallel, name),
-                    baseline,
-                    "{name}/{backend}: {threads}-thread sweep must match serial"
-                );
-                assert_eq!(
-                    parallel.stats, serial.stats,
-                    "{name}/{backend}: sweep counters must be thread-independent"
-                );
-            }
+        let serial = insertion_sweep(&spec, Backend::Explicit, &opts(1, false));
+        let baseline = fingerprint(&serial, name);
+        for threads in [2, 0] {
+            let parallel = insertion_sweep(&spec, Backend::Explicit, &opts(threads, false));
+            assert_eq!(
+                fingerprint(&parallel, name),
+                baseline,
+                "{name}: {threads}-thread sweep must match serial"
+            );
+            assert_eq!(
+                parallel.stats, serial.stats,
+                "{name}: sweep counters must be thread-independent"
+            );
         }
     }
 }
@@ -90,22 +89,20 @@ fn parallel_sweep_is_byte_identical_to_serial() {
 fn pruned_sweep_is_identical_and_actually_prunes() {
     let mut pruned_somewhere = false;
     for (name, spec) in sweep_specs() {
-        for backend in [Backend::Explicit, Backend::Symbolic] {
-            let unpruned = insertion_sweep(&spec, backend, &opts(1, false));
-            for threads in [1, 2] {
-                let pruned = insertion_sweep(&spec, backend, &opts(threads, true));
-                assert_eq!(
-                    fingerprint(&pruned, name),
-                    fingerprint(&unpruned, name),
-                    "{name}/{backend}: pruning must not change the ranking"
-                );
-                assert_eq!(
-                    pruned.stats.pruned + pruned.stats.evaluated,
-                    pruned.stats.grid,
-                    "{name}/{backend}: every pair is pruned or evaluated"
-                );
-                pruned_somewhere |= pruned.stats.pruned > 0;
-            }
+        let unpruned = insertion_sweep(&spec, Backend::Explicit, &opts(1, false));
+        for threads in [1, 2] {
+            let pruned = insertion_sweep(&spec, Backend::Explicit, &opts(threads, true));
+            assert_eq!(
+                fingerprint(&pruned, name),
+                fingerprint(&unpruned, name),
+                "{name}: pruning must not change the ranking"
+            );
+            assert_eq!(
+                pruned.stats.pruned + pruned.stats.evaluated,
+                pruned.stats.grid,
+                "{name}: every pair is pruned or evaluated"
+            );
+            pruned_somewhere |= pruned.stats.pruned > 0;
         }
     }
     assert!(
@@ -124,43 +121,33 @@ fn flow_output_is_byte_identical_across_sweep_configurations() {
     // comparison strips both; the cache-key test below is the flip
     // side: pruning splits cache entries for exactly this reason.
     for (name, spec) in flow_specs() {
-        for backend in [Backend::Explicit, Backend::Symbolic] {
-            let run = |threads: usize, prune: bool| {
-                let mut options = SynthesisOptions {
-                    backend,
-                    ..SynthesisOptions::default()
-                };
-                options.sweep.threads = threads;
-                options.sweep.prune = prune;
-                let verified = Synthesis::with_options(spec.clone(), options.clone())
-                    .run()
-                    .unwrap_or_else(|e| panic!("{name}/{backend} synthesises: {e}"));
-                asyncsynth::SynthesisSummary::from_verified(&verified, &options)
-            };
-            let serial = run(1, true);
-            let parallel = run(0, true);
-            assert_eq!(
-                parallel.to_json().render(),
-                serial.to_json().render(),
-                "{name}/{backend}: flow output must be byte-identical across thread counts"
-            );
-            if backend == Backend::Explicit {
-                // Unpruned flows only on the explicit backend: debug-mode
-                // symbolic sweeps of the full move grid are too slow for
-                // a unit test, and pruning is backend-agnostic anyway.
-                let mut unpruned = run(1, false);
-                let mut pruned = serial.clone();
-                unpruned.events.clear();
-                pruned.events.clear();
-                unpruned.metrics = asyncsynth::telemetry::Counters::new();
-                pruned.metrics = asyncsynth::telemetry::Counters::new();
-                assert_eq!(
-                    unpruned.to_json().render(),
-                    pruned.to_json().render(),
-                    "{name}: pruning must not change the synthesised result"
-                );
-            }
-        }
+        let run = |threads: usize, prune: bool| {
+            let mut options = SynthesisOptions::default();
+            options.sweep.threads = threads;
+            options.sweep.prune = prune;
+            let verified = Synthesis::with_options(spec.clone(), options.clone())
+                .run()
+                .unwrap_or_else(|e| panic!("{name} synthesises: {e}"));
+            asyncsynth::SynthesisSummary::from_verified(&verified, &options)
+        };
+        let serial = run(1, true);
+        let parallel = run(0, true);
+        assert_eq!(
+            parallel.to_json().render(),
+            serial.to_json().render(),
+            "{name}: flow output must be byte-identical across thread counts"
+        );
+        let mut unpruned = run(1, false);
+        let mut pruned = serial.clone();
+        unpruned.events.clear();
+        pruned.events.clear();
+        unpruned.metrics = asyncsynth::telemetry::Counters::new();
+        pruned.metrics = asyncsynth::telemetry::Counters::new();
+        assert_eq!(
+            unpruned.to_json().render(),
+            pruned.to_json().render(),
+            "{name}: pruning must not change the synthesised result"
+        );
     }
 }
 
@@ -203,15 +190,15 @@ fn trace_counters_are_byte_identical_across_sweep_threads() {
 #[test]
 fn reduction_and_mixed_sweeps_are_deterministic_across_threads() {
     // vme_read has reduction candidates; vme_read_write needs the mixed
-    // search (a reduction plus a state signal). The symbolic backend is
-    // exercised on the small controller — a debug-mode symbolic sweep
+    // search (a reduction plus a state signal). The resident backend is
+    // exercised on the small controller — a debug-mode resident sweep
     // of the full Fig. 5 move grid would dominate the suite's runtime.
     let read = stg::examples::vme_read();
     let read_write = stg::examples::vme_read_write();
     let describe = |r: &Option<synth::csc::CscResolutionWithSpace>| {
         r.as_ref().map(|r| (r.description.clone(), r.num_states))
     };
-    for backend in [Backend::Explicit, Backend::Symbolic] {
+    for backend in [Backend::Explicit, Backend::SymbolicSet] {
         let reduction_baseline = concurrency_reduction_sweep(&read, backend, &opts(1, false), None);
         for threads in [2, 0] {
             for prune in [false, true] {
@@ -253,13 +240,15 @@ fn reduction_and_mixed_sweeps_are_deterministic_across_threads() {
         winner.space.is_some(),
         "mixed resolution carries its validated space"
     );
-    // Symbolic mixed parity on the single-conflict controller.
-    let symbolic_serial = resolve_mixed_sweep(&read, 5, Backend::Symbolic, &opts(1, false), None);
-    let symbolic_parallel = resolve_mixed_sweep(&read, 5, Backend::Symbolic, &opts(0, true), None);
+    // Resident-backend mixed parity on the single-conflict controller.
+    let resident_serial =
+        resolve_mixed_sweep(&read, 5, Backend::SymbolicSet, &opts(1, false), None);
+    let resident_parallel =
+        resolve_mixed_sweep(&read, 5, Backend::SymbolicSet, &opts(0, true), None);
     assert_eq!(
-        describe(&symbolic_parallel.0),
-        describe(&symbolic_serial.0),
-        "symbolic mixed resolution must be deterministic"
+        describe(&resident_parallel.0),
+        describe(&resident_serial.0),
+        "resident mixed resolution must be deterministic"
     );
 }
 
@@ -269,7 +258,7 @@ fn insertion_resolution_carries_its_space() {
     // winner via `Into`, dropping the validated space and forcing
     // callers to rebuild it.
     for spec in [stg::examples::vme_read(), stg::examples::vme_read_csc()] {
-        for backend in [Backend::Explicit, Backend::Symbolic] {
+        for backend in [Backend::Explicit, Backend::SymbolicSet] {
             let r = resolve_by_signal_insertion_with(&spec, backend)
                 .expect("resolution exists (or CSC already holds)");
             let space = r.space.as_ref().expect("resolution carries its space");

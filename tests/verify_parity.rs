@@ -12,7 +12,7 @@ use synth::complex_gate::synthesize_complex_gates;
 use synth::{GateKind, NetId, Netlist};
 use verify::{verify_with, IncrementalVerifier, VerifyOptions, VerifyStrategy};
 
-const BACKENDS: [Backend; 3] = [Backend::Explicit, Backend::Symbolic, Backend::SymbolicSet];
+const BACKENDS: [Backend; 2] = [Backend::Explicit, Backend::SymbolicSet];
 const STRATEGIES: [VerifyStrategy; 2] = [VerifyStrategy::ExplicitBfs, VerifyStrategy::Composed];
 
 fn specs() -> Vec<(&'static str, Stg)> {
@@ -77,11 +77,10 @@ fn reports_identical_across_strategies_and_backends() {
 }
 
 /// The backends the flow-level byte-parity matrix covers. Debug builds
-/// stick to the explicit backend — the symbolic backends' CSC sweeps
-/// take minutes unoptimised, and the `verify-differential` CI job runs
-/// the full three-backend matrix in release — while the cheap
-/// *verify-report* parity above covers all three backends in every
-/// profile.
+/// stick to the explicit backend — the resident backend's CSC sweeps
+/// are slow unoptimised, and the `verify-differential` CI job runs the
+/// full two-backend matrix in release — while the cheap
+/// *verify-report* parity above covers both backends in every profile.
 fn flow_backends() -> &'static [Backend] {
     if cfg!(debug_assertions) {
         &[Backend::Explicit]
@@ -191,7 +190,7 @@ fn deterministic_metrics_identical_while_advisory_counters_ride_outside() {
                 let (_, advisory) = run(backend, VerifyStrategy::Composed, false);
                 assert!(
                     advisory.get("bdd_nodes").is_some(),
-                    "{name}: symbolic backends report their BDD size: {advisory:?}"
+                    "{name}: the resident backend reports its BDD size: {advisory:?}"
                 );
             }
         }
