@@ -8,9 +8,13 @@
 //! extra cores: pairs that provably cannot separate a conflicting state
 //! pair are skipped before any state space is built. The micropipeline
 //! group shows pruning on a controller whose whole grid is refutable.
+//! `counter-4/mixed-1t` is the corpus's costliest sweep (a mixed greedy
+//! search that resolves nothing): every evaluated move derives its
+//! state graph from the base graph. It pins the sweep's counters, so it
+//! doubles as a drift check.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use synth::csc::{insertion_sweep, SweepOptions};
+use synth::csc::{insertion_sweep, resolve_mixed_sweep, SweepOptions, SweepStats};
 
 fn sweep_opts(threads: usize, prune: bool) -> SweepOptions {
     SweepOptions {
@@ -62,5 +66,36 @@ fn bench_micropipeline_prune(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_vme_read_sweep, bench_micropipeline_prune);
+fn bench_counter_mixed(c: &mut Criterion) {
+    let mut group = c.benchmark_group("csc-sweep-counter");
+    group.sample_size(10);
+    let spec = corpus::generators::ripple_counter(4);
+    let options = sweep_opts(1, true);
+    group.bench_function("counter-4/mixed-1t", |b| {
+        b.iter(|| {
+            let (resolution, stats) =
+                resolve_mixed_sweep(&spec, 5, stg::Backend::Explicit, &options, None);
+            assert!(resolution.is_none(), "counter-4 stays unresolved");
+            assert_eq!(
+                stats,
+                SweepStats {
+                    grid: 16740,
+                    pruned: 3346,
+                    evaluated: 13394,
+                    skipped_by_bound: 0,
+                    accepted: 2184,
+                }
+            );
+            stats.evaluated
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_vme_read_sweep,
+    bench_micropipeline_prune,
+    bench_counter_mixed
+);
 criterion_main!(benches);

@@ -8,7 +8,7 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use petri::reach::{ReachError, ReachabilityGraph};
-use petri::{Marking, TransitionId, TransitionSystem};
+use petri::{Marking, PetriNet, PlaceId, TransitionId, TransitionSystem};
 
 use crate::model::{SignalEdge, SignalId, Stg};
 use crate::state_space::StateSpace;
@@ -107,12 +107,8 @@ impl StateGraph {
     /// See [`StateGraph::build`].
     pub fn build_bounded(stg: &Stg, max_states: usize) -> Result<Self, StgError> {
         let rg = ReachabilityGraph::build_bounded(stg.net(), 1, max_states)?;
-        let initial_values = match stg.initial_values() {
-            Some(v) => v.to_vec(),
-            None => infer_initial_values(stg, rg.ts()),
-        };
+        let (initial_values, codes) = signal_codes(stg, rg.ts())?;
         let n = stg.num_signals();
-        let codes = propagate_codes(stg, rg.ts(), &initial_values)?;
         let states: Vec<SgState> = rg
             .markings()
             .iter()
@@ -125,6 +121,98 @@ impl StateGraph {
             ts: rg.ts().clone(),
             initial_values,
             num_signals: n,
+            code_index: OnceLock::new(),
+        })
+    }
+
+    /// The state graph of a [`Refinement`] of a safe STG, derived from
+    /// the STG's already-built space `base` (over `net`) without playing
+    /// the token game again.
+    ///
+    /// A refinement only adds a tiny automaton to the base net — one
+    /// causal place, or two link places plus the two edges feeding them —
+    /// so the refined graph is the reachable product of `base` with a 2-
+    /// or 4-valued tag. It is explored breadth-first over dense
+    /// `(base state, tag)` indices, with no net firing and no marking
+    /// hashing. `labels` is the refined STG's label source: it must carry
+    /// the refined transition list (for an insertion, the two inserted
+    /// edges at ids `T` and `T + 1`) and, as for [`StateGraph::build`],
+    /// its explicit initial values are kept and missing ones inferred.
+    ///
+    /// The result is identical to [`StateGraph::build_bounded`] on the
+    /// rebuilt refined STG: states and arcs are numbered in token-game
+    /// order, markings use the rebuilt net's place layout (the base
+    /// places, then the added ones), and errors — a link place reaching 2
+    /// tokens, the state limit, inconsistent codes — fire at the same
+    /// point. This holds because the base net is safe and each added
+    /// place's tokens are consumed by exactly one transition, so every
+    /// refined marking is one (base marking, tag) pair.
+    ///
+    /// `base` must materialise its states and arcs (the explicit
+    /// backend) and be the complete space of the STG over `net`.
+    ///
+    /// # Errors
+    ///
+    /// See [`StateGraph::build`].
+    pub fn derive_bounded<S: StateSpace + ?Sized>(
+        base: &S,
+        net: &PetriNet,
+        labels: &Stg,
+        refinement: Refinement,
+        max_states: usize,
+    ) -> Result<Self, StgError> {
+        let product = Product::new(net, refinement);
+        debug_assert_eq!(
+            labels.net().num_transitions(),
+            net.num_transitions() + product.split.len(),
+            "the label source carries the refined transition list"
+        );
+        let mut explorer = Explorer {
+            index: vec![u32::MAX; base.num_states() << product.consumers.len()],
+            states: vec![(0, [0, 0])],
+            arcs: Vec::new(),
+            max_states,
+        };
+        explorer.index[0] = 0;
+        // Discovery order is BFS order: the state list is the queue.
+        let mut next = 0;
+        while next < explorer.states.len() {
+            let from = next;
+            next += 1;
+            let (b, links) = explorer.states[from];
+            // Successors in transition-id order: the base transitions
+            // (base arcs are already in id order), then inserted edges.
+            for (&t, to_b) in base.ts().successors(b) {
+                if let Some(links) = product.fire_base(t, links) {
+                    explorer.visit(&product, base, from, t, to_b, links)?;
+                }
+            }
+            for k in 0..product.split.len() {
+                if let Some(links) = product.fire_split(k, links, base.marking(b)) {
+                    let t = TransitionId::from_index(net.num_transitions() + k);
+                    explorer.visit(&product, base, from, t, b, links)?;
+                }
+            }
+        }
+        let mut ts = TransitionSystem::new(explorer.states.len(), 0);
+        for (from, t, to) in explorer.arcs {
+            ts.add_arc(from, t, to);
+        }
+        let (initial_values, codes) = signal_codes(labels, &ts)?;
+        let states: Vec<SgState> = explorer
+            .states
+            .iter()
+            .zip(codes)
+            .map(|(&(b, links), code)| SgState {
+                marking: product.marking(base.marking(b), links),
+                code,
+            })
+            .collect();
+        Ok(StateGraph {
+            states,
+            ts,
+            initial_values,
+            num_signals: labels.num_signals(),
             code_index: OnceLock::new(),
         })
     }
@@ -225,6 +313,179 @@ impl StateGraph {
         self.code_index
             .get_or_init(|| build_code_index(&self.states))
     }
+}
+
+/// A structural refinement of an STG whose state graph
+/// [`StateGraph::derive_bounded`] computes as a product of the base
+/// graph — the two moves of CSC resolution (§2.1, §3.1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refinement {
+    /// Concurrency reduction: one unmarked causal place `from → to`,
+    /// appended after the base places.
+    OrderingArc {
+        /// The transition that must fire first.
+        from: TransitionId,
+        /// The delayed transition.
+        to: TransitionId,
+    },
+    /// State-signal insertion: a rising edge (transition `T`, the base
+    /// transition count) takes over the non-choice input places of
+    /// `plus` and feeds it through a link place; a falling edge
+    /// (`T + 1`) does the same before `minus`. The plus link, then the
+    /// minus link, are appended after the base places.
+    SignalInsertion {
+        /// The transition the rising edge precedes.
+        plus: TransitionId,
+        /// The transition the falling edge precedes.
+        minus: TransitionId,
+    },
+}
+
+/// Tokens on the (at most two) places a [`Refinement`] adds.
+type Links = [u32; 2];
+
+/// The automaton a [`Refinement`] adds to the base net. Added place `k`
+/// is emptied by `consumers[k]`; it is filled by base transition
+/// `producer` (an ordering arc) or by inserted edge `k` (an insertion).
+struct Product {
+    consumers: Vec<TransitionId>,
+    producer: Option<TransitionId>,
+    /// Per inserted edge: the non-choice input places it takes over.
+    split: Vec<Vec<PlaceId>>,
+}
+
+impl Product {
+    fn new(net: &PetriNet, refinement: Refinement) -> Self {
+        match refinement {
+            Refinement::OrderingArc { from, to } => Product {
+                consumers: vec![to],
+                producer: Some(from),
+                split: Vec::new(),
+            },
+            Refinement::SignalInsertion { plus, minus } => {
+                assert_ne!(plus, minus, "an insertion splits two distinct transitions");
+                let non_choice = |t: TransitionId| -> Vec<PlaceId> {
+                    net.preset(t)
+                        .iter()
+                        .copied()
+                        .filter(|&p| net.place_postset(p).len() == 1)
+                        .collect()
+                };
+                Product {
+                    consumers: vec![plus, minus],
+                    producer: None,
+                    split: vec![non_choice(plus), non_choice(minus)],
+                }
+            }
+        }
+    }
+
+    /// The links after base transition `t` fires (it is enabled in the
+    /// base state), or `None` when an added place it consumes is empty.
+    fn fire_base(&self, t: TransitionId, mut links: Links) -> Option<Links> {
+        for (k, &c) in self.consumers.iter().enumerate() {
+            if c == t {
+                if links[k] == 0 {
+                    return None;
+                }
+                links[k] -= 1;
+            }
+        }
+        if self.producer == Some(t) {
+            links[0] += 1;
+        }
+        Some(links)
+    }
+
+    /// The links after inserted edge `k` fires at base marking `m`, if
+    /// it is enabled. Its input places are marked iff its link is empty
+    /// and the base marks them (the base is safe, so a full link means
+    /// the edge already took their tokens) — or it has none, in which
+    /// case it is always enabled and a second firing overflows the link.
+    fn fire_split(&self, k: usize, mut links: Links, m: &Marking) -> Option<Links> {
+        let split = &self.split[k];
+        let enabled = split.is_empty() || (links[k] == 0 && split.iter().all(|&p| m.is_marked(p)));
+        enabled.then(|| {
+            links[k] += 1;
+            links
+        })
+    }
+
+    /// The refined net's marking: the base marking minus the tokens
+    /// inserted edges hold back, then the added places.
+    fn marking(&self, base: &Marking, links: Links) -> Marking {
+        let mut counts = Vec::with_capacity(base.num_places() + self.consumers.len());
+        counts.extend_from_slice(base.as_counts());
+        for (split, &held) in self.split.iter().zip(&links) {
+            if held > 0 {
+                for p in split {
+                    counts[p.index()] -= 1;
+                }
+            }
+        }
+        counts.extend_from_slice(&links[..self.consumers.len()]);
+        Marking::from_counts(counts)
+    }
+}
+
+/// The BFS state of [`StateGraph::derive_bounded`]: dense
+/// `(base state, links)` indices, discovery order and arcs.
+struct Explorer {
+    /// Product index per `(base state << added places) | tag`
+    /// (`u32::MAX` = unseen).
+    index: Vec<u32>,
+    states: Vec<(usize, Links)>,
+    arcs: Vec<(usize, TransitionId, usize)>,
+    max_states: usize,
+}
+
+impl Explorer {
+    /// Records the arc `from --t--> (to_b, links)`, numbering a new
+    /// state — with the token game's bound and state-limit checks, in
+    /// its order.
+    fn visit<S: StateSpace + ?Sized>(
+        &mut self,
+        product: &Product,
+        base: &S,
+        from: usize,
+        t: TransitionId,
+        to_b: usize,
+        links: Links,
+    ) -> Result<(), StgError> {
+        if links.iter().any(|&l| l > 1) {
+            let m = product.marking(base.marking(to_b), links);
+            return Err(ReachError::BoundExceeded(m).into());
+        }
+        let slot = (to_b << product.consumers.len()) | (links[0] | links[1] << 1) as usize;
+        let to = match self.index[slot] {
+            u32::MAX => {
+                if self.states.len() >= self.max_states {
+                    return Err(ReachError::StateLimit(self.max_states).into());
+                }
+                let to = self.states.len();
+                self.index[slot] = u32::try_from(to).expect("state count fits u32");
+                self.states.push((to_b, links));
+                to
+            }
+            i => i as usize,
+        };
+        self.arcs.push((from, t, to));
+        Ok(())
+    }
+}
+
+/// The initial signal values (explicit, else inferred) and every
+/// state's code over a reachable transition system.
+fn signal_codes(
+    stg: &Stg,
+    ts: &TransitionSystem<TransitionId>,
+) -> Result<(Vec<bool>, Vec<Vec<bool>>), StgError> {
+    let initial_values = match stg.initial_values() {
+        Some(v) => v.to_vec(),
+        None => infer_initial_values(stg, ts),
+    };
+    let codes = propagate_codes(stg, ts, &initial_values)?;
+    Ok((initial_values, codes))
 }
 
 /// Infers initial signal values from first-edge polarities (a signal whose

@@ -16,10 +16,16 @@
 //! # The candidate sweep engine
 //!
 //! Every search here is a sweep over a candidate grid — `(t⁺, t⁻)`
-//! insertion pairs, `a → b` ordering arcs — where each candidate builds
-//! and validates a full state space. That makes the sweeps the flow's
+//! insertion pairs, `a → b` ordering arcs — where each candidate's state
+//! space is computed and validated. That makes the sweeps the flow's
 //! dominant cost, so they run through one engine ([`SweepOptions`]) that
 //!
+//! * **derives** instead of building: on the explicit backend a
+//!   candidate's state graph is the product of the base graph with the
+//!   tiny automaton the move adds
+//!   ([`stg::StateGraph::derive_bounded`]) — no candidate STG, no token
+//!   game, no marking hashing — and the candidate STG itself is built
+//!   only for moves that pass the checks;
 //! * **parallelises** the grid on scoped work-stealing workers
 //!   ([`crate::par`]), merging per-worker rankings deterministically so
 //!   the output is byte-identical to a serial sweep at any thread count;
@@ -29,8 +35,9 @@
 //!   internal docs for the soundness argument — pruning never changes
 //!   the result set, only the work);
 //! * **memoises** across candidates: the base specification's state
-//!   space seeds the pruner instead of being rebuilt, the symbolic
-//!   backend shares one BDD manager per worker across all of its
+//!   space seeds the pruner and the derivation instead of being
+//!   rebuilt, the `symbolic-set` backend (which rebuilds every
+//!   candidate) shares one BDD manager per worker across all of its
 //!   candidate builds ([`stg::BuildContext`]), and the greedy loops
 //!   carry the winning candidate's space into the next step instead of
 //!   rebuilding it;
@@ -45,7 +52,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use petri::reach::ReachError;
 use petri::TransitionId;
-use stg::{Backend, BuildContext, SignalEdge, SignalKind, StateSpace, Stg, StgError};
+use stg::{
+    Backend, BuildContext, Refinement, SignalEdge, SignalKind, StateGraph, StateSpace, Stg,
+    StgError,
+};
 
 use crate::par;
 
@@ -173,7 +183,7 @@ pub struct SweepStats {
     pub grid: usize,
     /// Pairs skipped by conflict-locality pruning (no space built).
     pub pruned: usize,
-    /// Pairs whose space was actually built and validated.
+    /// Pairs whose space was actually computed and validated.
     pub evaluated: usize,
     /// Pairs skipped because their space exceeded [`SweepOptions::bound`].
     pub skipped_by_bound: usize,
@@ -188,6 +198,13 @@ impl SweepStats {
         self.evaluated += other.evaluated;
         self.skipped_by_bound += other.skipped_by_bound;
         self.accepted += other.accepted;
+    }
+
+    /// Counts a candidate that has no space (only bound skips count).
+    fn note(&mut self, unbuilt: &Unbuilt) {
+        if let Unbuilt::OverBound = unbuilt {
+            self.skipped_by_bound += 1;
+        }
     }
 }
 
@@ -356,6 +373,202 @@ impl<'a> ConflictPruner<'a> {
 }
 
 // ---------------------------------------------------------------------
+// Candidate evaluation
+// ---------------------------------------------------------------------
+
+/// One move of a sweep grid.
+#[derive(Debug, Clone, Copy)]
+enum Move {
+    /// Concurrency reduction: an ordering arc `a → b`.
+    Arc(TransitionId, TransitionId),
+    /// State-signal insertion before `(t⁺, t⁻)`.
+    Insert(TransitionId, TransitionId),
+}
+
+impl Move {
+    /// The transformed STG.
+    fn apply(self, stg: &Stg) -> Stg {
+        match self {
+            Move::Arc(a, b) => add_ordering_arc(stg, a, b),
+            Move::Insert(tp, tm) => insert_state_signal(stg, tp, tm),
+        }
+    }
+
+    fn refinement(self) -> Refinement {
+        match self {
+            Move::Arc(from, to) => Refinement::OrderingArc { from, to },
+            Move::Insert(plus, minus) => Refinement::SignalInsertion { plus, minus },
+        }
+    }
+
+    /// The move as the greedy searches report it.
+    fn describe(self, stg: &Stg) -> String {
+        match self {
+            Move::Arc(a, b) => format!(
+                "concurrency reduction: {} waits for {}",
+                stg.label_string(b),
+                stg.label_string(a)
+            ),
+            Move::Insert(tp, tm) => format!(
+                "inserted csc signal: + before {}, - before {}",
+                stg.label_string(tp),
+                stg.label_string(tm)
+            ),
+        }
+    }
+}
+
+/// The move grid of `stg` in serial scan order: ordering arcs `a → b`
+/// (only non-input `b` may be delayed) first, then insertion pairs
+/// `(t⁺, t⁻)` of non-input transitions, each lexicographic in
+/// transition ids.
+fn grid(stg: &Stg, arcs: bool, insertions: bool) -> Vec<Move> {
+    let transitions: Vec<TransitionId> = stg.net().transitions().collect();
+    let splittable: Vec<TransitionId> = transitions
+        .iter()
+        .copied()
+        .filter(|&t| {
+            stg.label(t)
+                .is_some_and(|l| stg.signal_kind(l.signal).is_non_input())
+        })
+        .collect();
+    let mut moves = Vec::new();
+    if arcs {
+        for &a in &transitions {
+            for &b in &splittable {
+                if a != b {
+                    moves.push(Move::Arc(a, b));
+                }
+            }
+        }
+    }
+    if insertions {
+        for &tp in &splittable {
+            for &tm in &splittable {
+                if tp != tm {
+                    moves.push(Move::Insert(tp, tm));
+                }
+            }
+        }
+    }
+    moves
+}
+
+/// Why a candidate has no state space.
+enum Unbuilt {
+    /// Over [`SweepOptions::bound`]: counted in
+    /// [`SweepStats::skipped_by_bound`].
+    OverBound,
+    /// Unsafe or inconsistent: rejected.
+    Invalid,
+}
+
+/// A candidate's state space, plus the candidate STG when building the
+/// space needed it (the rebuild path).
+struct Built {
+    space: Box<dyn StateSpace>,
+    stg: Option<Stg>,
+}
+
+/// How one sweep step builds its candidates' state spaces.
+///
+/// On the explicit backend every candidate's graph is derived from the
+/// step's base graph ([`StateGraph::derive_bounded`]): no STG is built
+/// and no token game replayed. The per-candidate checks read only
+/// labels, signal kinds and the transition list, so an ordering arc is
+/// checked against the current STG and every insertion of the step
+/// against one `insert_state_signal` template (they all add the same
+/// `csc<i>` signal and the same two edges at ids `T`, `T + 1`). The real
+/// candidate STG is built only for moves that get further. The
+/// resident backend — and an explicit base that failed to build —
+/// takes the rebuild path: construct the candidate, build its space.
+struct Evaluator<'a> {
+    current: &'a Stg,
+    backend: Backend,
+    bound: usize,
+    /// The explicit base graph candidates are derived from.
+    base: Option<&'a dyn StateSpace>,
+    /// Label source of every insertion of the step.
+    template: Option<Stg>,
+}
+
+impl<'a> Evaluator<'a> {
+    fn new(
+        current: &'a Stg,
+        backend: Backend,
+        bound: usize,
+        base: Option<&'a dyn StateSpace>,
+        moves: &[Move],
+    ) -> Self {
+        let base = base.filter(|b| backend == Backend::Explicit && b.backend() == backend);
+        let template = base
+            .and_then(|_| {
+                moves.iter().find_map(|m| match *m {
+                    Move::Insert(tp, tm) => Some((tp, tm)),
+                    Move::Arc(..) => None,
+                })
+            })
+            .map(|(tp, tm)| insert_state_signal(current, tp, tm));
+        Evaluator {
+            current,
+            backend,
+            bound,
+            base,
+            template,
+        }
+    }
+
+    fn build(&self, mv: Move, ctx: &mut BuildContext) -> Result<Built, Unbuilt> {
+        let built = match self.base {
+            Some(base) => StateGraph::derive_bounded(
+                base,
+                self.current.net(),
+                self.label_source(mv),
+                mv.refinement(),
+                self.bound,
+            )
+            .map(|sg| Built {
+                space: Box::new(sg),
+                stg: None,
+            }),
+            None => {
+                let stg = mv.apply(self.current);
+                self.backend
+                    .build_bounded_in(&stg, self.bound, ctx)
+                    .map(|space| Built {
+                        space,
+                        stg: Some(stg),
+                    })
+            }
+        };
+        built.map_err(|e| match e {
+            StgError::Reach(ReachError::StateLimit(_)) => Unbuilt::OverBound,
+            _ => Unbuilt::Invalid,
+        })
+    }
+
+    fn label_source(&self, mv: Move) -> &Stg {
+        match mv {
+            Move::Arc(..) => self.current,
+            Move::Insert(..) => self.template.as_ref().expect("insertions have a template"),
+        }
+    }
+
+    /// The STG whose labels the candidate's checks read.
+    fn labels<'s>(&'s self, mv: Move, built: &'s Built) -> &'s Stg {
+        match &built.stg {
+            Some(stg) => stg,
+            None => self.label_source(mv),
+        }
+    }
+
+    /// The candidate STG itself.
+    fn candidate(&self, mv: Move, built: Option<Stg>) -> Stg {
+        built.unwrap_or_else(|| mv.apply(self.current))
+    }
+}
+
+// ---------------------------------------------------------------------
 // Signal-insertion sweep
 // ---------------------------------------------------------------------
 
@@ -429,7 +642,8 @@ pub fn insertion_candidates_with(stg: &Stg, backend: Backend) -> Vec<CscResoluti
 }
 
 /// The full candidate sweep with explicit engine configuration; builds
-/// the base state space itself when pruning needs it.
+/// the base state space itself when pruning or the explicit backend's
+/// candidate derivation needs it.
 #[must_use]
 pub fn insertion_sweep(stg: &Stg, backend: Backend, options: &SweepOptions) -> Sweep {
     insertion_sweep_from(stg, backend, options, None)
@@ -437,7 +651,8 @@ pub fn insertion_sweep(stg: &Stg, backend: Backend, options: &SweepOptions) -> S
 
 /// [`insertion_sweep`] seeded with the base specification's already-built
 /// state space (the memoising entry point used by the flow driver: the
-/// check stage's space feeds the pruner instead of being rebuilt).
+/// check stage's space feeds the pruner and the candidate derivation
+/// instead of being rebuilt).
 ///
 /// Output is byte-identical for any `threads` setting and for pruned vs
 /// unpruned runs; see [`SweepOptions`].
@@ -448,40 +663,28 @@ pub fn insertion_sweep_from(
     options: &SweepOptions,
     base: Option<&dyn StateSpace>,
 ) -> Sweep {
-    let splittable: Vec<TransitionId> = stg
-        .net()
-        .transitions()
-        .filter(|&t| {
-            stg.label(t)
-                .is_some_and(|l| stg.signal_kind(l.signal).is_non_input())
-        })
-        .collect();
-    let mut pairs: Vec<(TransitionId, TransitionId)> =
-        Vec::with_capacity(splittable.len() * splittable.len().saturating_sub(1));
-    for &tp in &splittable {
-        for &tm in &splittable {
-            if tp != tm {
-                pairs.push((tp, tm));
-            }
-        }
-    }
+    let moves = grid(stg, false, true);
 
-    // The pruner wants the base space; reuse the caller's, build one
-    // only when pruning is on and nothing was supplied. A base that
-    // fails to build simply disables pruning (the sweep itself never
-    // needed it).
-    let owned_base: Option<Box<dyn StateSpace>> = match (&base, options.prune) {
-        (None, true) => backend.build(stg).ok(),
-        _ => None,
-    };
+    // Reuse the caller's base; build one only when pruning or the
+    // explicit derivation wants it and nothing was supplied. A base that
+    // fails to build disables pruning and derivation (candidates are
+    // then rebuilt, as the sweep's result never depended on the base).
+    let owned_base: Option<Box<dyn StateSpace>> =
+        match (&base, options.prune || backend == Backend::Explicit) {
+            (None, true) => backend.build(stg).ok(),
+            _ => None,
+        };
     let base_ref: Option<&dyn StateSpace> = base.or(owned_base.as_deref());
     let pruner = if options.prune {
         base_ref.and_then(|space| ConflictPruner::new(stg, space))
     } else {
         None
     };
+    let evaluator = Evaluator::new(stg, backend, options.bound, base_ref, &moves);
 
-    type Key = (usize, usize, TransitionId, TransitionId);
+    // Ranked by `(states, cost, grid index)`; the grid is lexicographic
+    // in `(t⁺, t⁻)`, so the index is the transition-id tie-break.
+    type Key = (usize, usize, usize);
     struct Acc {
         ranked: Vec<(Key, Stg)>,
         /// Local best spaces, sorted by key, truncated to `keep_spaces`.
@@ -492,7 +695,7 @@ pub fn insertion_sweep_from(
     }
     let keep = options.keep_spaces;
     let accs = par::par_fold(
-        &pairs,
+        &moves,
         options.threads,
         || Acc {
             ranked: Vec::new(),
@@ -501,7 +704,10 @@ pub fn insertion_sweep_from(
             scratch: PruneScratch::default(),
             stats: SweepStats::default(),
         },
-        |acc, _i, &(tp, tm)| {
+        |acc, i, &mv| {
+            let Move::Insert(tp, tm) = mv else {
+                unreachable!("the insertion grid holds insertions only")
+            };
             if let Some(pruner) = &pruner {
                 if pruner.any_unseparated(&mut acc.scratch, tp, tm) {
                     acc.stats.pruned += 1;
@@ -509,30 +715,28 @@ pub fn insertion_sweep_from(
                 }
             }
             acc.stats.evaluated += 1;
-            let candidate = insert_state_signal(stg, tp, tm);
-            let csg = match backend.build_bounded_in(&candidate, options.bound, &mut acc.ctx) {
-                Ok(csg) => csg,
-                Err(StgError::Reach(ReachError::StateLimit(_))) => {
-                    acc.stats.skipped_by_bound += 1;
+            let built = match evaluator.build(mv, &mut acc.ctx) {
+                Ok(built) => built,
+                Err(unbuilt) => {
+                    acc.stats.note(&unbuilt);
                     return;
                 }
-                Err(_) => return,
             };
-            if !stg::encoding::has_csc(&candidate, &*csg) {
+            let labels = evaluator.labels(mv, &built);
+            let csg = &*built.space;
+            if !stg::encoding::has_csc(labels, csg)
+                || csg.has_deadlock()
+                || !stg::persistency::is_persistent(labels, csg)
+            {
                 return;
             }
-            if csg.has_deadlock() {
-                return;
-            }
-            if !stg::persistency::is_persistent(&candidate, &*csg) {
-                return;
-            }
-            let states = csg.num_states();
+            let candidate = evaluator.candidate(mv, built.stg);
+            let csg = built.space;
             let Ok(equations) = crate::nextstate::all_equations(&candidate, &*csg) else {
                 return;
             };
             let cost: usize = equations.iter().map(|e| e.cover.literal_count()).sum();
-            let key = (states, cost, tp, tm);
+            let key = (csg.num_states(), cost, i);
             acc.stats.accepted += 1;
             acc.ranked.push((key, candidate));
             if keep > 0 {
@@ -545,8 +749,8 @@ pub fn insertion_sweep_from(
         },
     );
 
-    // Deterministic merge: keys embed `(tp, tm)`, so the total order is
-    // independent of how workers split the grid — the concatenated
+    // Deterministic merge: keys embed the grid index, so the total order
+    // is independent of how workers split the grid — the concatenated
     // ranking sorts to exactly the serial sweep's order, and the global
     // top-`keep_spaces` spaces are a subset of the workers' local tops.
     let mut stats = SweepStats::default();
@@ -557,7 +761,7 @@ pub fn insertion_sweep_from(
         ranked.extend(acc.ranked);
         spaces.extend(acc.spaces);
     }
-    stats.grid = pairs.len();
+    stats.grid = moves.len();
     ranked.sort_by_key(|r| r.0);
     spaces.sort_by_key(|s| s.0);
     spaces.truncate(keep);
@@ -565,19 +769,14 @@ pub fn insertion_sweep_from(
     let mut spaces = VecDeque::from(spaces);
     let candidates = ranked
         .into_iter()
-        .map(|((num_states, cost, tp, tm), new_stg)| {
-            let key = (num_states, cost, tp, tm);
+        .map(|(key, new_stg)| {
             let space = match spaces.front() {
                 Some((k, _)) if *k == key => spaces.pop_front().map(|(_, s)| s),
                 _ => None,
             };
             CscResolutionWithSpace {
-                description: format!(
-                    "inserted csc signal: + before {}, - before {}",
-                    stg.label_string(tp),
-                    stg.label_string(tm)
-                ),
-                num_states,
+                description: moves[key.2].describe(stg),
+                num_states: key.0,
                 stg: new_stg,
                 space,
             }
@@ -589,6 +788,11 @@ pub fn insertion_sweep_from(
 /// Builds the STG with a fresh internal signal whose rising edge precedes
 /// `before_plus` and whose falling edge precedes `before_minus` (the
 /// transition-splitting insertion of §2.1/§3.1).
+///
+/// Its state graph is what [`StateGraph::derive_bounded`] computes for
+/// [`Refinement::SignalInsertion`]: the base places keep their ids, the
+/// two link places follow them, and the new edges get the next two
+/// transition ids.
 #[must_use]
 pub fn insert_state_signal(
     stg: &Stg,
@@ -704,8 +908,10 @@ pub fn resolve_by_concurrency_reduction_with(
 /// best-index), and the reported counters cover exactly the indices up
 /// to the winner, so they are identical at any thread count. `base` is
 /// the already-built state space of `stg` when the caller has one (the
-/// state count to beat); it is built once here otherwise. The caller is
-/// expected to have already established that CSC fails on the base.
+/// state count to beat, and on the explicit backend the graph every
+/// candidate is derived from); it is built once here otherwise. The
+/// caller is expected to have already established that CSC fails on the
+/// base.
 #[must_use]
 pub fn concurrency_reduction_sweep(
     stg: &Stg,
@@ -721,23 +927,8 @@ pub fn concurrency_reduction_sweep(
         return (None, SweepStats::default());
     };
     let base_states = base_ref.num_states();
-
-    let transitions: Vec<TransitionId> = stg.net().transitions().collect();
-    let mut pairs: Vec<(TransitionId, TransitionId)> = Vec::new();
-    for &a in &transitions {
-        for &b_t in &transitions {
-            if a == b_t {
-                continue;
-            }
-            // Only non-input transitions may be delayed.
-            let delayable = stg
-                .label(b_t)
-                .is_some_and(|l| stg.signal_kind(l.signal).is_non_input());
-            if delayable {
-                pairs.push((a, b_t));
-            }
-        }
-    }
+    let moves = grid(stg, true, false);
+    let evaluator = Evaluator::new(stg, backend, options.bound, Some(base_ref), &moves);
 
     /// How one evaluated grid index ended (for deterministic counting).
     #[derive(Clone, Copy, PartialEq, Eq)]
@@ -747,8 +938,8 @@ pub fn concurrency_reduction_sweep(
         Accepted,
     }
     struct Acc {
-        /// Lowest grid index accepted by this worker, with its artifacts.
-        best: Option<(usize, CscResolutionWithSpace)>,
+        /// Lowest grid index accepted by this worker, with its space.
+        best: Option<(usize, Box<dyn StateSpace>)>,
         /// Per-index outcomes; filtered to `index ≤ winner` at merge so
         /// racy evaluations beyond the winner never leak into stats.
         outcomes: Vec<(usize, Outcome)>,
@@ -761,70 +952,55 @@ pub fn concurrency_reduction_sweep(
     // the ≤-winner counters are thread-independent.
     let best_seen = AtomicUsize::new(usize::MAX);
     let accs = par::par_fold(
-        &pairs,
+        &moves,
         options.threads,
         || Acc {
             best: None,
             outcomes: Vec::new(),
             ctx: BuildContext::default(),
         },
-        |acc, i, &(a, b_t)| {
+        |acc, i, &mv| {
             if i > best_seen.load(Ordering::Relaxed) {
                 return; // a better candidate is already accepted
             }
-            let candidate = add_ordering_arc(stg, a, b_t);
-            let csg = match backend.build_bounded_in(&candidate, options.bound, &mut acc.ctx) {
-                Ok(csg) => csg,
-                Err(StgError::Reach(ReachError::StateLimit(_))) => {
-                    acc.outcomes.push((i, Outcome::SkippedByBound));
-                    return;
+            let outcome = match evaluator.build(mv, &mut acc.ctx) {
+                Ok(built) => {
+                    let labels = evaluator.labels(mv, &built);
+                    let csg = &*built.space;
+                    let acceptable = stg::encoding::has_csc(labels, csg)
+                        && !csg.has_deadlock()
+                        && stg::persistency::is_persistent(labels, csg)
+                        && csg.num_states() < base_states; // must be a reduction
+                    if acceptable {
+                        best_seen.fetch_min(i, Ordering::Relaxed);
+                        if acc.best.as_ref().is_none_or(|(bi, _)| i < *bi) {
+                            acc.best = Some((i, built.space));
+                        }
+                        Outcome::Accepted
+                    } else {
+                        Outcome::Rejected
+                    }
                 }
-                Err(_) => {
-                    acc.outcomes.push((i, Outcome::Rejected));
-                    return;
-                }
+                Err(Unbuilt::OverBound) => Outcome::SkippedByBound,
+                Err(Unbuilt::Invalid) => Outcome::Rejected,
             };
-            let acceptable = stg::encoding::has_csc(&candidate, &*csg)
-                && !csg.has_deadlock()
-                && stg::persistency::is_persistent(&candidate, &*csg)
-                && csg.num_states() < base_states; // must be a reduction
-            if !acceptable {
-                acc.outcomes.push((i, Outcome::Rejected));
-                return;
-            }
-            acc.outcomes.push((i, Outcome::Accepted));
-            best_seen.fetch_min(i, Ordering::Relaxed);
-            if acc.best.as_ref().is_none_or(|(bi, _)| i < *bi) {
-                acc.best = Some((
-                    i,
-                    CscResolutionWithSpace {
-                        description: format!(
-                            "concurrency reduction: {} now waits for {}",
-                            stg.label_string(b_t),
-                            stg.label_string(a)
-                        ),
-                        num_states: csg.num_states(),
-                        stg: candidate,
-                        space: Some(csg),
-                    },
-                ));
-            }
+            acc.outcomes.push((i, outcome));
         },
     );
 
-    let mut best: Option<(usize, CscResolutionWithSpace)> = None;
+    let mut best: Option<(usize, Box<dyn StateSpace>)> = None;
     let mut outcomes: Vec<(usize, Outcome)> = Vec::new();
     for acc in accs {
         outcomes.extend(acc.outcomes);
-        if let Some((i, r)) = acc.best {
+        if let Some((i, space)) = acc.best {
             if best.as_ref().is_none_or(|(bi, _)| i < *bi) {
-                best = Some((i, r));
+                best = Some((i, space));
             }
         }
     }
     let winner_index = best.as_ref().map_or(usize::MAX, |(i, _)| *i);
     let mut stats = SweepStats {
-        grid: pairs.len(),
+        grid: moves.len(),
         ..SweepStats::default()
     };
     for (i, outcome) in outcomes {
@@ -838,12 +1014,30 @@ pub fn concurrency_reduction_sweep(
             Outcome::Accepted => stats.accepted += 1,
         }
     }
-    (best.map(|(_, r)| r), stats)
+    let winner = best.map(|(i, space)| {
+        let Move::Arc(a, b_t) = moves[i] else {
+            unreachable!("the reduction grid holds ordering arcs only")
+        };
+        CscResolutionWithSpace {
+            description: format!(
+                "concurrency reduction: {} now waits for {}",
+                stg.label_string(b_t),
+                stg.label_string(a)
+            ),
+            num_states: space.num_states(),
+            stg: moves[i].apply(stg),
+            space: Some(space),
+        }
+    });
+    (winner, stats)
 }
 
 /// Adds a causal place `a → b`, marked so the *first* firing of `b` is
 /// already permitted when `a` precedes it in the initial marking's future
 /// (heuristic: unmarked; candidates that deadlock are rejected upstream).
+///
+/// Its state graph is what [`StateGraph::derive_bounded`] computes for
+/// [`Refinement::OrderingArc`].
 #[must_use]
 pub fn add_ordering_arc(stg: &Stg, a: TransitionId, b_t: TransitionId) -> Stg {
     let mut b = stg.clone().into_builder();
@@ -857,8 +1051,9 @@ pub fn add_ordering_arc(stg: &Stg, a: TransitionId, b_t: TransitionId) -> Stg {
 
 /// Iterative multi-signal CSC resolution: inserts state signals one at a
 /// time, each step picking the insertion that most reduces the number of
-/// CSC-conflicting state pairs (ties broken by state count and synthesised
-/// literal cost), until CSC holds or `max_signals` insertions were made.
+/// CSC-conflicting state pairs (ties broken by state count and
+/// transition ids), until CSC holds or `max_signals` insertions were
+/// made.
 ///
 /// Controllers like the READ+WRITE specification of Fig. 5 need more than
 /// one state signal; this is the standard greedy loop around the
@@ -891,195 +1086,15 @@ pub fn resolve_iteratively_sweep(
     backend: Backend,
     options: &SweepOptions,
 ) -> (Option<CscResolutionWithSpace>, SweepStats) {
-    let mut stats = SweepStats::default();
-    let mut current = stg.clone();
-    let mut descriptions: Vec<String> = Vec::new();
-    let mut carried: Option<Box<dyn StateSpace>> = None;
-    let mut base_ctx = BuildContext::default();
-    for _ in 0..=max_signals {
-        let sg: Box<dyn StateSpace> = match carried.take() {
-            Some(sg) => sg,
-            None => match backend.build_bounded_in(&current, options.bound, &mut base_ctx) {
-                Ok(sg) => sg,
-                Err(e) => {
-                    // A base specification over the bound is itself a
-                    // bound skip — report it, don't silently give up.
-                    if matches!(e, StgError::Reach(ReachError::StateLimit(_))) {
-                        stats.skipped_by_bound += 1;
-                    }
-                    return (None, stats);
-                }
-            },
-        };
-        let conflicts = stg::encoding::csc_conflict_pair_count(&current, &*sg);
-        if conflicts == 0 {
-            return (
-                Some(CscResolutionWithSpace {
-                    num_states: sg.num_states(),
-                    space: Some(sg),
-                    stg: current,
-                    description: if descriptions.is_empty() {
-                        "CSC already holds; no insertion needed".to_owned()
-                    } else {
-                        descriptions.join("; ")
-                    },
-                }),
-                stats,
-            );
-        }
-        if descriptions.len() == max_signals {
-            return (None, stats);
-        }
-        // Each step's move is keyed `(remaining conflicts, states,
-        // tie-break on transition ids)` — a total order, so the parallel
-        // minimum equals the serial scan's choice.
-        type Key = (usize, usize, usize);
-        let step = greedy_insertion_step::<Key>(
-            &current,
-            backend,
-            options,
-            &*sg,
-            conflicts,
-            |remaining, states, tp, tm| (remaining, states, tp.index() * 1000 + tm.index()),
-        );
-        stats.absorb(step.stats);
-        let Some((_, _, cand, desc, space)) = step.best else {
-            return (None, stats);
-        };
-        descriptions.push(desc);
-        current = cand;
-        carried = Some(space);
-    }
-    (None, stats)
-}
-
-/// The per-step insertion-grid evaluation shared by the greedy searches:
-/// evaluates every `(t⁺, t⁻)` move in parallel (pruned: a move that
-/// provably cannot separate *any* conflict cannot reduce the conflict
-/// count — see [`ConflictPruner::all_unseparated`]) and returns the
-/// progress-making move with the smallest key.
-struct GreedyStep<K> {
-    /// The winning move, when one exists.
-    best: BestMove<K>,
-    stats: SweepStats,
-}
-
-/// The best greedy move seen so far: `(key, grid index, transformed
-/// STG, move description, the move's validated state space)`.
-type BestMove<K> = Option<(K, usize, Stg, String, Box<dyn StateSpace>)>;
-
-/// Keeps the move with the smallest `(key, grid index)` — the one
-/// tie-break every greedy merge shares, so the parallel minimum always
-/// reproduces the serial scan's choice.
-fn merge_best_move<K: Ord + Copy>(best: &mut BestMove<K>, other: BestMove<K>) {
-    if let Some(b) = other {
-        if best
-            .as_ref()
-            .is_none_or(|(bk, bi, ..)| (b.0, b.1) < (*bk, *bi))
-        {
-            *best = Some(b);
-        }
-    }
-}
-
-fn greedy_insertion_step<K: Ord + Copy + Send>(
-    current: &Stg,
-    backend: Backend,
-    options: &SweepOptions,
-    sg: &dyn StateSpace,
-    conflicts: usize,
-    key_of: impl Fn(usize, usize, TransitionId, TransitionId) -> K + Sync,
-) -> GreedyStep<K> {
-    let splittable: Vec<TransitionId> = current
-        .net()
-        .transitions()
-        .filter(|&t| {
-            current
-                .label(t)
-                .is_some_and(|l| current.signal_kind(l.signal).is_non_input())
-        })
-        .collect();
-    let mut pairs: Vec<(TransitionId, TransitionId)> = Vec::new();
-    for &tp in &splittable {
-        for &tm in &splittable {
-            if tp != tm {
-                pairs.push((tp, tm));
-            }
-        }
-    }
-    let pruner = if options.prune {
-        ConflictPruner::new(current, sg)
-    } else {
-        None
-    };
-
-    struct Acc<K> {
-        best: BestMove<K>,
-        ctx: BuildContext,
-        scratch: PruneScratch,
-        stats: SweepStats,
-    }
-    let accs = par::par_fold(
-        &pairs,
-        options.threads,
-        || Acc::<K> {
-            best: None,
-            ctx: BuildContext::default(),
-            scratch: PruneScratch::default(),
-            stats: SweepStats::default(),
-        },
-        |acc, i, &(tp, tm)| {
-            if let Some(pruner) = &pruner {
-                if pruner.all_unseparated(&mut acc.scratch, tp, tm) {
-                    acc.stats.pruned += 1;
-                    return;
-                }
-            }
-            acc.stats.evaluated += 1;
-            let candidate = insert_state_signal(current, tp, tm);
-            let csg = match backend.build_bounded_in(&candidate, options.bound, &mut acc.ctx) {
-                Ok(csg) => csg,
-                Err(StgError::Reach(ReachError::StateLimit(_))) => {
-                    acc.stats.skipped_by_bound += 1;
-                    return;
-                }
-                Err(_) => return,
-            };
-            if csg.has_deadlock() {
-                return;
-            }
-            if !stg::persistency::is_persistent(&candidate, &*csg) {
-                return;
-            }
-            let remaining = stg::encoding::csc_conflict_pair_count(&candidate, &*csg);
-            if remaining >= conflicts {
-                return; // must make progress
-            }
-            acc.stats.accepted += 1;
-            let key = key_of(remaining, csg.num_states(), tp, tm);
-            if acc
-                .best
-                .as_ref()
-                .is_none_or(|(bk, bi, ..)| (key, i) < (*bk, *bi))
-            {
-                let desc = format!(
-                    "inserted csc signal: + before {}, - before {}",
-                    current.label_string(tp),
-                    current.label_string(tm)
-                );
-                acc.best = Some((key, i, candidate, desc, csg));
-            }
-        },
-    );
-
-    let mut stats = SweepStats::default();
-    let mut best: BestMove<K> = None;
-    for acc in accs {
-        stats.absorb(acc.stats);
-        merge_best_move(&mut best, acc.best);
-    }
-    stats.grid = pairs.len();
-    GreedyStep { best, stats }
+    greedy_search(
+        stg,
+        max_signals,
+        backend,
+        options,
+        None,
+        false,
+        "CSC already holds; no insertion needed",
+    )
 }
 
 /// Mixed greedy CSC resolution: at every step considers both concurrency
@@ -1121,13 +1136,32 @@ pub fn resolve_mixed_sweep(
     options: &SweepOptions,
     base: Option<Box<dyn StateSpace>>,
 ) -> (Option<CscResolutionWithSpace>, SweepStats) {
-    /// One move of the combined grid, in serial scan order.
-    #[derive(Clone, Copy)]
-    enum Move {
-        Arc(TransitionId, TransitionId),
-        Insert(TransitionId, TransitionId),
-    }
+    greedy_search(
+        stg,
+        max_steps,
+        backend,
+        options,
+        base,
+        true,
+        "CSC already holds",
+    )
+}
 
+/// The greedy loop shared by [`resolve_iteratively_sweep`] (insertions
+/// only) and [`resolve_mixed_sweep`] (ordering arcs too): at every step
+/// apply the move leaving the fewest CSC-conflicting pairs, carrying
+/// its state space into the next step, until CSC holds or `max_steps`
+/// moves were applied. `holds` describes a specification that needed
+/// no move.
+fn greedy_search(
+    stg: &Stg,
+    max_steps: usize,
+    backend: Backend,
+    options: &SweepOptions,
+    base: Option<Box<dyn StateSpace>>,
+    arcs: bool,
+    holds: &str,
+) -> (Option<CscResolutionWithSpace>, SweepStats) {
     let mut stats = SweepStats::default();
     let mut current = stg.clone();
     let mut descriptions: Vec<String> = Vec::new();
@@ -1156,7 +1190,7 @@ pub fn resolve_mixed_sweep(
                     space: Some(sg),
                     stg: current,
                     description: if descriptions.is_empty() {
-                        "CSC already holds".to_owned()
+                        holds.to_owned()
                     } else {
                         descriptions.join("; ")
                     },
@@ -1167,130 +1201,110 @@ pub fn resolve_mixed_sweep(
         if descriptions.len() == max_steps {
             return (None, stats);
         }
-
-        let transitions: Vec<TransitionId> = current.net().transitions().collect();
-        let splittable: Vec<TransitionId> = transitions
-            .iter()
-            .copied()
-            .filter(|&t| {
-                current
-                    .label(t)
-                    .is_some_and(|l| current.signal_kind(l.signal).is_non_input())
-            })
-            .collect();
-        let mut moves: Vec<Move> = Vec::new();
-        for &a in &transitions {
-            for &b_t in &splittable {
-                if a != b_t {
-                    moves.push(Move::Arc(a, b_t));
-                }
-            }
-        }
-        for &tp in &splittable {
-            for &tm in &splittable {
-                if tp != tm {
-                    moves.push(Move::Insert(tp, tm));
-                }
-            }
-        }
-        let pruner = if options.prune {
-            ConflictPruner::new(&current, &*sg)
-        } else {
-            None
-        };
-
-        // Moves are scored `(remaining conflicts, states)`; ties fall to
-        // the earliest move in scan order, so the parallel minimum over
-        // `(key, grid index)` reproduces the serial scan exactly.
-        type Key = (usize, usize);
-        struct Acc {
-            best: BestMove<Key>,
-            ctx: BuildContext,
-            scratch: PruneScratch,
-            stats: SweepStats,
-        }
-        let current_ref = &current;
-        let accs = par::par_fold(
-            &moves,
-            options.threads,
-            || Acc {
-                best: None,
-                ctx: BuildContext::default(),
-                scratch: PruneScratch::default(),
-                stats: SweepStats::default(),
-            },
-            |acc, i, m| {
-                let (cand, desc) = match *m {
-                    Move::Arc(a, b_t) => (
-                        add_ordering_arc(current_ref, a, b_t),
-                        format!(
-                            "concurrency reduction: {} waits for {}",
-                            current_ref.label_string(b_t),
-                            current_ref.label_string(a)
-                        ),
-                    ),
-                    Move::Insert(tp, tm) => {
-                        if let Some(pruner) = &pruner {
-                            if pruner.all_unseparated(&mut acc.scratch, tp, tm) {
-                                acc.stats.pruned += 1;
-                                return;
-                            }
-                        }
-                        (
-                            insert_state_signal(current_ref, tp, tm),
-                            format!(
-                                "inserted csc signal: + before {}, - before {}",
-                                current_ref.label_string(tp),
-                                current_ref.label_string(tm)
-                            ),
-                        )
-                    }
-                };
-                acc.stats.evaluated += 1;
-                let csg = match backend.build_bounded_in(&cand, options.bound, &mut acc.ctx) {
-                    Ok(csg) => csg,
-                    Err(StgError::Reach(ReachError::StateLimit(_))) => {
-                        acc.stats.skipped_by_bound += 1;
-                        return;
-                    }
-                    Err(_) => return,
-                };
-                if csg.has_deadlock() {
-                    return;
-                }
-                if !stg::persistency::is_persistent(&cand, &*csg) {
-                    return;
-                }
-                let rem = stg::encoding::csc_conflict_pair_count(&cand, &*csg);
-                if rem >= conflicts {
-                    return;
-                }
-                acc.stats.accepted += 1;
-                let key = (rem, csg.num_states());
-                if acc
-                    .best
-                    .as_ref()
-                    .is_none_or(|(bk, bi, ..)| (key, i) < (*bk, *bi))
-                {
-                    acc.best = Some((key, i, cand, desc, csg));
-                }
-            },
-        );
-
-        let mut best: BestMove<Key> = None;
-        let mut step_stats = SweepStats::default();
-        for acc in accs {
-            step_stats.absorb(acc.stats);
-            merge_best_move(&mut best, acc.best);
-        }
-        step_stats.grid = moves.len();
+        let moves = grid(&current, arcs, true);
+        let (best, step_stats) = greedy_step(&current, &moves, backend, options, &*sg, conflicts);
         stats.absorb(step_stats);
-        let Some((_, _, next, desc, space)) = best else {
+        let Some((_, i, space)) = best else {
             return (None, stats);
         };
-        descriptions.push(desc);
-        current = next;
+        descriptions.push(moves[i].describe(&current));
+        current = moves[i].apply(&current);
         carried = Some(space);
     }
     (None, stats)
+}
+
+/// The best greedy move seen so far: `((remaining conflicts, states),
+/// grid index, the move's validated state space)`.
+type BestMove = Option<((usize, usize), usize, Box<dyn StateSpace>)>;
+
+/// One greedy step: evaluates every move of the grid in parallel
+/// (insertions pruned: a move that provably cannot separate *any*
+/// conflict cannot reduce the conflict count — see
+/// [`ConflictPruner::all_unseparated`]) and returns the
+/// progress-making move with the smallest `(remaining conflicts,
+/// states, grid index)`. The grid index is a total order (for an
+/// insertion grid it is the `(t⁺, t⁻)` order), so the parallel minimum
+/// always reproduces the serial scan's choice.
+fn greedy_step(
+    current: &Stg,
+    moves: &[Move],
+    backend: Backend,
+    options: &SweepOptions,
+    sg: &dyn StateSpace,
+    conflicts: usize,
+) -> (BestMove, SweepStats) {
+    let pruner = if options.prune {
+        ConflictPruner::new(current, sg)
+    } else {
+        None
+    };
+    let evaluator = Evaluator::new(current, backend, options.bound, Some(sg), moves);
+
+    struct Acc {
+        best: BestMove,
+        ctx: BuildContext,
+        scratch: PruneScratch,
+        stats: SweepStats,
+    }
+    let accs = par::par_fold(
+        moves,
+        options.threads,
+        || Acc {
+            best: None,
+            ctx: BuildContext::default(),
+            scratch: PruneScratch::default(),
+            stats: SweepStats::default(),
+        },
+        |acc, i, &mv| {
+            if let (Move::Insert(tp, tm), Some(pruner)) = (mv, &pruner) {
+                if pruner.all_unseparated(&mut acc.scratch, tp, tm) {
+                    acc.stats.pruned += 1;
+                    return;
+                }
+            }
+            acc.stats.evaluated += 1;
+            let built = match evaluator.build(mv, &mut acc.ctx) {
+                Ok(built) => built,
+                Err(unbuilt) => {
+                    acc.stats.note(&unbuilt);
+                    return;
+                }
+            };
+            let labels = evaluator.labels(mv, &built);
+            let csg = &*built.space;
+            if csg.has_deadlock() || !stg::persistency::is_persistent(labels, csg) {
+                return;
+            }
+            let remaining = stg::encoding::csc_conflict_pair_count(labels, csg);
+            if remaining >= conflicts {
+                return; // must make progress
+            }
+            acc.stats.accepted += 1;
+            let key = (remaining, csg.num_states());
+            if acc
+                .best
+                .as_ref()
+                .is_none_or(|(bk, bi, _)| (key, i) < (*bk, *bi))
+            {
+                acc.best = Some((key, i, built.space));
+            }
+        },
+    );
+
+    let mut stats = SweepStats::default();
+    let mut best: BestMove = None;
+    for acc in accs {
+        stats.absorb(acc.stats);
+        if let Some(b) = acc.best {
+            if best
+                .as_ref()
+                .is_none_or(|(bk, bi, _)| (b.0, b.1) < (*bk, *bi))
+            {
+                best = Some(b);
+            }
+        }
+    }
+    stats.grid = moves.len();
+    (best, stats)
 }

@@ -6,14 +6,20 @@
 //! micropipeline(2); the reduction and mixed searches are also checked
 //! on the resident-BDD backend. Bound-skipped candidates must be
 //! reported, and no pipeline path may rebuild the winning candidate's
-//! state space.
+//! state space. The explicit sweeps derive each candidate's state graph
+//! from the base graph instead of rebuilding it; the oracle tests at the
+//! end compare every first-step derivation over the corpus with the
+//! token-game rebuild.
 
 use asyncsynth::{
     run_cached_with, Backend, FlowEvent, FlowObserver, SweepOptions, Synthesis, SynthesisOptions,
 };
+use petri::reach::ReachError;
+use petri::TransitionId;
+use stg::{Refinement, SignalEdge, SignalKind, StateGraph, Stg, StgBuilder, StgError};
 use synth::csc::{
-    concurrency_reduction_sweep, insertion_sweep, resolve_by_signal_insertion_with,
-    resolve_mixed_sweep, Sweep,
+    add_ordering_arc, concurrency_reduction_sweep, insert_state_signal, insertion_sweep,
+    resolve_by_signal_insertion_with, resolve_mixed_sweep, Sweep,
 };
 
 /// Specs with CSC conflicts — the raw candidate-grid parity matrix.
@@ -381,4 +387,292 @@ fn sweep_cache_keys_share_across_threads_but_split_on_bound_and_prune() {
         key(&base),
         "the bound can change results and must split cache entries"
     );
+}
+
+// ---------------------------------------------------------------------
+// Derived vs rebuilt candidates
+// ---------------------------------------------------------------------
+
+/// What a state graph build produced, in comparable form: every state's
+/// marking and code, the arc list in order, the initial values — or the
+/// error.
+type GraphImage = Result<
+    (
+        Vec<(Vec<u32>, Vec<bool>)>,
+        Vec<(usize, usize, usize)>,
+        Vec<bool>,
+    ),
+    StgError,
+>;
+
+fn image(built: Result<StateGraph, StgError>) -> GraphImage {
+    built.map(|sg| {
+        let states = sg
+            .states()
+            .iter()
+            .map(|s| (s.marking.as_counts().to_vec(), s.code.clone()))
+            .collect();
+        let arcs = sg
+            .ts()
+            .arcs()
+            .iter()
+            .map(|&(from, t, to)| (from, t.index(), to))
+            .collect();
+        (states, arcs, sg.initial_values().to_vec())
+    })
+}
+
+/// The error class the sweeps act on.
+fn error_class(image: &GraphImage) -> &'static str {
+    match image {
+        Ok(_) => "ok",
+        Err(StgError::Reach(ReachError::StateLimit(_))) => "state-limit",
+        Err(_) => "invalid",
+    }
+}
+
+/// Every first-step move of `spec` — ordering arcs, then insertions —
+/// with the rebuilt candidate STG and the label source a sweep derives
+/// it with.
+fn first_step_moves(spec: &Stg) -> Vec<(Refinement, Stg, Stg)> {
+    let transitions: Vec<TransitionId> = spec.net().transitions().collect();
+    let splittable: Vec<TransitionId> = transitions
+        .iter()
+        .copied()
+        .filter(|&t| {
+            spec.label(t)
+                .is_some_and(|l| spec.signal_kind(l.signal).is_non_input())
+        })
+        .collect();
+    let mut moves = Vec::new();
+    for &from in &transitions {
+        for &to in &splittable {
+            if from != to {
+                let rebuilt = add_ordering_arc(spec, from, to);
+                moves.push((Refinement::OrderingArc { from, to }, rebuilt, spec.clone()));
+            }
+        }
+    }
+    let mut template: Option<Stg> = None;
+    for &plus in &splittable {
+        for &minus in &splittable {
+            if plus != minus {
+                let rebuilt = insert_state_signal(spec, plus, minus);
+                let template = template.get_or_insert_with(|| rebuilt.clone()).clone();
+                moves.push((
+                    Refinement::SignalInsertion { plus, minus },
+                    rebuilt,
+                    template,
+                ));
+            }
+        }
+    }
+    moves
+}
+
+/// The template claim the sweeps rest on: every insertion of one step
+/// has the same signal table and transition labels.
+fn assert_same_labels(candidate: &Stg, template: &Stg, what: &str) {
+    assert_eq!(
+        candidate.signal_names(),
+        template.signal_names(),
+        "{what}: signals"
+    );
+    for s in candidate.signals() {
+        assert_eq!(
+            candidate.signal_kind(s),
+            template.signal_kind(s),
+            "{what}: kinds"
+        );
+    }
+    let transitions = candidate.net().num_transitions();
+    assert_eq!(
+        transitions,
+        template.net().num_transitions(),
+        "{what}: transitions"
+    );
+    for t in candidate.net().transitions() {
+        assert_eq!(
+            candidate.label(t),
+            template.label(t),
+            "{what}: label of {t}"
+        );
+        assert_eq!(
+            candidate.label_string(t),
+            template.label_string(t),
+            "{what}: label text of {t}"
+        );
+    }
+    assert_eq!(
+        candidate.initial_values(),
+        template.initial_values(),
+        "{what}: initial values"
+    );
+}
+
+/// Derives every first-step move of `spec` from its base graph and
+/// compares it with the rebuild at each bound; returns the number of
+/// comparisons per error class.
+fn derived_matches_rebuilt(
+    spec: &Stg,
+    bounds: &[usize],
+) -> std::collections::BTreeMap<&'static str, usize> {
+    let base = StateGraph::build(spec).expect("base builds");
+    let mut classes = std::collections::BTreeMap::new();
+    for (refinement, rebuilt, labels) in first_step_moves(spec) {
+        let what = format!("{} {refinement:?}", spec.name());
+        if matches!(refinement, Refinement::SignalInsertion { .. }) {
+            assert_same_labels(&rebuilt, &labels, &what);
+        }
+        for &bound in bounds {
+            let expected = image(StateGraph::build_bounded(&rebuilt, bound));
+            let derived = image(StateGraph::derive_bounded(
+                &base,
+                spec.net(),
+                &labels,
+                refinement,
+                bound,
+            ));
+            assert_eq!(
+                derived, expected,
+                "{what} at bound {bound}: derived graph differs"
+            );
+            *classes.entry(error_class(&derived)).or_default() += 1;
+        }
+    }
+    classes
+}
+
+#[test]
+fn derived_candidates_match_rebuilt_ones_over_the_corpus() {
+    // The oracle of the explicit sweeps: every first-step ordering arc
+    // and insertion of every corpus spec that fails CSC, derived from the
+    // base graph, equals the token-game rebuild of the candidate STG —
+    // states, markings, codes, arc order, initial values and errors — at
+    // the default sweep bound and at bounds that cut candidates off.
+    let bounds = [synth::csc::DEFAULT_SWEEP_BOUND, 5, 20, 60];
+    let mut classes = std::collections::BTreeMap::new();
+    let mut specs = 0;
+    for (_, spec) in corpus::all_specs() {
+        let Ok(base) = StateGraph::build(&spec) else {
+            continue;
+        };
+        if stg::encoding::has_csc(&spec, &base) {
+            continue;
+        }
+        specs += 1;
+        for (class, n) in derived_matches_rebuilt(&spec, &bounds) {
+            *classes.entry(class).or_insert(0) += n;
+        }
+    }
+    assert!(specs > 0, "the corpus has specs that fail CSC");
+    for class in ["ok", "state-limit", "invalid"] {
+        assert!(
+            classes.get(class).copied().unwrap_or(0) > 0,
+            "the oracle covers {class} outcomes: {classes:?}"
+        );
+    }
+}
+
+/// `a+ → x+ → a- → x-` plus an output `c` whose only edge is dead, with
+/// explicit initial values that set `c = 1`.
+fn toggle_with_frozen_signal() -> Stg {
+    let mut b = StgBuilder::new("frozen");
+    let a = b.add_signal("a", SignalKind::Input);
+    let x = b.add_signal("x", SignalKind::Output);
+    let c = b.add_signal("c", SignalKind::Output);
+    let a_plus = b.add_edge(a, SignalEdge::Rise);
+    let x_plus = b.add_edge(x, SignalEdge::Rise);
+    let a_minus = b.add_edge(a, SignalEdge::Fall);
+    let x_minus = b.add_edge(x, SignalEdge::Fall);
+    let c_minus = b.add_edge(c, SignalEdge::Fall);
+    b.connect(a_plus, x_plus);
+    b.connect(x_plus, a_minus);
+    b.connect(a_minus, x_minus);
+    let p = b.connect(x_minus, a_plus);
+    b.mark_place(p, 1);
+    let never = b.add_place("never", 0);
+    b.arc_pt(never, c_minus);
+    b.set_initial_values(vec![false, false, true]);
+    b.build()
+}
+
+#[test]
+fn insertion_infers_initial_values_and_ordering_arcs_keep_them() {
+    // `insert_state_signal` drops explicit initial values, so the
+    // never-switching `c` is inferred low; `add_ordering_arc` keeps the
+    // explicit high value. The derivation must follow each.
+    let spec = toggle_with_frozen_signal();
+    let base = StateGraph::build(&spec).expect("base builds");
+    let t = |name: &str| spec.net().transition_by_name(name).expect("transition");
+    let insertion = Refinement::SignalInsertion {
+        plus: t("x+"),
+        minus: t("x-"),
+    };
+    let rebuilt = insert_state_signal(&spec, t("x+"), t("x-"));
+    let derived =
+        StateGraph::derive_bounded(&base, spec.net(), &rebuilt, insertion, 1000).expect("derives");
+    assert_eq!(derived.initial_values(), &[false, false, false, false]);
+    assert_eq!(
+        image(Ok(derived)),
+        image(StateGraph::build_bounded(&rebuilt, 1000))
+    );
+
+    let arc = Refinement::OrderingArc {
+        from: t("a+"),
+        to: t("x-"),
+    };
+    let rebuilt = add_ordering_arc(&spec, t("a+"), t("x-"));
+    let derived = StateGraph::derive_bounded(&base, spec.net(), &spec, arc, 1000).expect("derives");
+    assert_eq!(derived.initial_values(), &[false, false, true]);
+    assert_eq!(
+        image(Ok(derived)),
+        image(StateGraph::build_bounded(&rebuilt, 1000))
+    );
+    // And the whole first-step grid, at every bound.
+    derived_matches_rebuilt(&spec, &[1000, 3, 5]);
+}
+
+#[test]
+fn insertion_before_a_choice_only_transition_is_unbounded() {
+    // `o+` consumes only the choice place it shares with `i+`, so the
+    // inserted `csc0+` has an empty preset: it fires again and again and
+    // its link place reaches 2 tokens. Derivation and rebuild must fail
+    // alike, with the same offending marking.
+    let mut b = StgBuilder::new("choice");
+    let i = b.add_signal("i", SignalKind::Input);
+    let o = b.add_signal("o", SignalKind::Output);
+    let choice = b.add_place("choice", 1);
+    let o_plus = b.add_edge(o, SignalEdge::Rise);
+    let o_minus = b.add_edge(o, SignalEdge::Fall);
+    let i_plus = b.add_edge(i, SignalEdge::Rise);
+    let i_minus = b.add_edge(i, SignalEdge::Fall);
+    b.arc_pt(choice, o_plus);
+    b.arc_pt(choice, i_plus);
+    b.connect(o_plus, o_minus);
+    b.connect(i_plus, i_minus);
+    b.arc_tp(o_minus, choice);
+    b.arc_tp(i_minus, choice);
+    let spec = b.build();
+    let base = StateGraph::build(&spec).expect("base builds");
+    let rebuilt = insert_state_signal(&spec, o_plus, o_minus);
+    let derived = StateGraph::derive_bounded(
+        &base,
+        spec.net(),
+        &rebuilt,
+        Refinement::SignalInsertion {
+            plus: o_plus,
+            minus: o_minus,
+        },
+        1000,
+    );
+    assert!(
+        matches!(derived, Err(StgError::Reach(ReachError::BoundExceeded(_)))),
+        "{derived:?}"
+    );
+    assert_eq!(
+        image(derived),
+        image(StateGraph::build_bounded(&rebuilt, 1000))
+    );
+    derived_matches_rebuilt(&spec, &[1000, 2, 4]);
 }
