@@ -34,8 +34,6 @@
 //!   --trace FILE                            write the run's span-tree JSON
 //!   --no-verify                             skip exhaustive verification
 //!   --verify-bound N                        composed-state limit of the verifier
-//!   --verify-strategy explicit|composed     spec tracking (default: composed)
-//!   --verify-incremental                    memoising per-cone re-verification
 //!   --json                                  machine-readable output
 //! ```
 //!
@@ -204,8 +202,6 @@ fn synth(spec: &stg::Stg, opts: &[String]) -> Result<(), String> {
             "--trace",
             "--no-verify",
             "--verify-bound",
-            "--verify-strategy",
-            "--verify-incremental",
             "--json",
         ],
     )?;
@@ -464,8 +460,6 @@ fn submit(spec_text: &str, opts: &[String]) -> Result<(), String> {
             "--fanin",
             "--no-verify",
             "--verify-bound",
-            "--verify-strategy",
-            "--verify-incremental",
             "--events",
             "--priority",
             "--retries",
@@ -556,8 +550,6 @@ fn submit_dir(dir: &str, opts: &[String]) -> Result<(), String> {
             "--fanin",
             "--no-verify",
             "--verify-bound",
-            "--verify-strategy",
-            "--verify-incremental",
             "--priority",
             "--retries",
             "--backoff-ms",

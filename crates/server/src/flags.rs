@@ -9,7 +9,6 @@ use std::path::PathBuf;
 
 use asyncsynth::{
     Architecture, Backend, CscStrategy, SweepOptions, SynthesisOptions, VerifyOptions,
-    VerifyStrategy,
 };
 
 use crate::client::ClientOptions;
@@ -42,12 +41,6 @@ pub struct CliFlags {
     /// `--verify-bound N`: composed-state limit of the verifier; a hit
     /// is reported as a bounded (inconclusive) run, never silently.
     pub verify_bound: Option<usize>,
-    /// `--verify-strategy explicit|composed`: spec-tracking strategy
-    /// (output-neutral; `composed` runs on any backend at any scale).
-    pub verify_strategy: Option<VerifyStrategy>,
-    /// `--verify-incremental`: route re-verification through the
-    /// memoising per-cone engine (the decomposed repair loop).
-    pub verify_incremental: bool,
     /// `--assume "a<b"` relative-timing assumptions (repeatable).
     pub assumptions: Vec<timing::TimingAssumption>,
     /// `--cache DIR`: content-addressed result cache directory.
@@ -96,8 +89,6 @@ impl Default for CliFlags {
             fanin: None,
             no_verify: false,
             verify_bound: None,
-            verify_strategy: None,
-            verify_incremental: false,
             assumptions: Vec::new(),
             cache_dir: None,
             trace: None,
@@ -133,13 +124,8 @@ impl CliFlags {
             },
             max_fanin: self.fanin,
             skip_verification: self.no_verify,
-            verify: {
-                let defaults = VerifyOptions::default();
-                VerifyOptions {
-                    bound: self.verify_bound.unwrap_or(defaults.bound),
-                    strategy: self.verify_strategy.unwrap_or(defaults.strategy),
-                    incremental: self.verify_incremental,
-                }
+            verify: VerifyOptions {
+                bound: self.verify_bound.unwrap_or(VerifyOptions::default().bound),
             },
         }
     }
@@ -215,10 +201,6 @@ pub fn parse_flags(args: &[String], allowed: &[&str]) -> Result<CliFlags, String
                         .map_err(|_| "bad --verify-bound value")?,
                 );
             }
-            "--verify-strategy" => {
-                flags.verify_strategy = Some(value(args, &mut i, flag)?.parse()?);
-            }
-            "--verify-incremental" => flags.verify_incremental = true,
             "--assume" => {
                 let v = value(args, &mut i, flag)?;
                 let (a, b) = v
@@ -317,6 +299,21 @@ mod tests {
             parse_flags(&["--backend".to_owned()], &["--backend"]).is_err(),
             "missing value"
         );
+
+        // The removed verify switches are unknown options, even where a
+        // subcommand's allow-list still named them.
+        for removed in [
+            &["--verify-strategy", "explicit"][..],
+            &["--verify-incremental"][..],
+        ] {
+            let args: Vec<String> = removed.iter().map(ToString::to_string).collect();
+            assert!(
+                parse_flags(&args, &["--verify-bound"]).is_err(),
+                "{removed:?} must be rejected"
+            );
+            let err = parse_flags(&args, &[removed[0]]).expect_err("unknown option");
+            assert!(err.contains("unknown option"), "{err}");
+        }
     }
 
     #[test]
@@ -346,47 +343,20 @@ mod tests {
 
     #[test]
     fn verify_flags_reach_the_options() {
-        let args: Vec<String> = [
-            "--verify-bound",
-            "25000",
-            "--verify-strategy",
-            "explicit",
-            "--verify-incremental",
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect();
-        let flags = parse_flags(
-            &args,
-            &[
-                "--verify-bound",
-                "--verify-strategy",
-                "--verify-incremental",
-            ],
-        )
-        .expect("parses");
-        let options = flags.options();
-        assert_eq!(options.verify.bound, 25_000);
-        assert_eq!(
-            options.verify.strategy,
-            asyncsynth::VerifyStrategy::ExplicitBfs
-        );
-        assert!(options.verify.incremental);
+        let args = ["--verify-bound".to_owned(), "25000".to_owned()];
+        let flags = parse_flags(&args, &["--verify-bound"]).expect("parses");
+        assert_eq!(flags.options().verify.bound, 25_000);
 
-        // Defaults: composed strategy, monolithic engine, 500k bound.
+        // Default: the 500k bound.
         let defaults = parse_flags(&[], &[]).expect("parses").options();
         assert_eq!(defaults.verify, asyncsynth::VerifyOptions::default());
-        assert_eq!(
-            defaults.verify.strategy,
-            asyncsynth::VerifyStrategy::Composed
-        );
         assert!(
             parse_flags(
-                &["--verify-strategy".into(), "magic".into()],
-                &["--verify-strategy"]
+                &["--verify-bound".into(), "many".into()],
+                &["--verify-bound"]
             )
             .is_err(),
-            "unknown strategy rejected"
+            "malformed bound rejected"
         );
     }
 

@@ -7,7 +7,6 @@
 //! {"op":"synth","spec":"<.g text>","backend":"explicit","arch":"complex",
 //!  "csc":"auto","csc_threads":0,"csc_bound":200000,"csc_prune":true,
 //!  "fanin":2,"skip_verification":false,"verify_bound":500000,
-//!  "verify_strategy":"composed","verify_incremental":false,
 //!  "priority":"normal","events":true}
 //! {"op":"check","spec":"<.g text>","backend":"symbolic-set"}
 //! {"op":"batch","specs":["<.g text>","<.g text>"],"backend":"explicit"}
@@ -355,12 +354,6 @@ fn options_fields(v: &Json) -> Result<SynthesisOptions, String> {
             .as_usize()
             .ok_or("\"verify_bound\" must be a non-negative integer")?;
     }
-    if let Some(strategy) = v.get("verify_strategy").and_then(Json::as_str) {
-        options.verify.strategy = strategy.parse()?;
-    }
-    if let Some(incremental) = v.get("verify_incremental").and_then(Json::as_bool) {
-        options.verify.incremental = incremental;
-    }
     Ok(options)
 }
 
@@ -372,11 +365,7 @@ fn option_pairs(options: &SynthesisOptions) -> Vec<(&'static str, Json)> {
         ("csc_threads", Json::num(options.sweep.threads)),
         ("csc_bound", Json::num(options.sweep.bound)),
         ("verify_bound", Json::num(options.verify.bound)),
-        ("verify_strategy", Json::str(options.verify.strategy.name())),
     ];
-    if options.verify.incremental {
-        pairs.push(("verify_incremental", Json::Bool(true)));
-    }
     if !options.sweep.prune {
         pairs.push(("csc_prune", Json::Bool(false)));
     }
@@ -735,11 +724,7 @@ mod tests {
                         prune: false,
                         ..Default::default()
                     },
-                    verify: asyncsynth::VerifyOptions {
-                        bound: 25_000,
-                        strategy: asyncsynth::VerifyStrategy::ExplicitBfs,
-                        incremental: true,
-                    },
+                    verify: asyncsynth::VerifyOptions { bound: 25_000 },
                     ..Default::default()
                 },
                 priority: Priority::High,
@@ -815,25 +800,34 @@ mod tests {
 
     #[test]
     fn verify_options_round_trip_on_the_wire() {
-        let line = "{\"op\":\"synth\",\"spec\":\"x\",\"verify_bound\":1234,\
-                    \"verify_strategy\":\"explicit\",\"verify_incremental\":true}";
-        let req = Request::parse_line(line).expect("parses");
-        match req {
-            Request::Synth { options, .. } => {
-                assert_eq!(options.verify.bound, 1234);
-                assert_eq!(
-                    options.verify.strategy,
-                    asyncsynth::VerifyStrategy::ExplicitBfs
-                );
-                assert!(options.verify.incremental);
-            }
+        let synth_options = |line: &str| match Request::parse_line(line).expect("parses") {
+            Request::Synth { options, .. } => options,
             other => panic!("wrong request {other:?}"),
-        }
-        assert!(
-            Request::parse_line("{\"op\":\"synth\",\"spec\":\"x\",\"verify_strategy\":\"magic\"}")
-                .is_err(),
-            "unknown strategy rejected"
+        };
+        let bounded = synth_options("{\"op\":\"synth\",\"spec\":\"x\",\"verify_bound\":1234}");
+        assert_eq!(bounded.verify.bound, 1234);
+
+        // The removed verify switches are ignored like any unknown
+        // field: an old client gets the default options and the same
+        // cache key as a line without them.
+        let legacy = synth_options(
+            "{\"op\":\"synth\",\"spec\":\"x\",\
+             \"verify_strategy\":\"explicit\",\"verify_incremental\":true}",
         );
+        let plain = synth_options("{\"op\":\"synth\",\"spec\":\"x\"}");
+        assert_eq!(legacy, asyncsynth::SynthesisOptions::default());
+        let spec = stg::examples::vme_read();
+        for stage in [
+            asyncsynth::CacheStage::Check,
+            asyncsynth::CacheStage::Csc,
+            asyncsynth::CacheStage::Full,
+        ] {
+            assert_eq!(
+                asyncsynth::cache_key(&spec, &legacy, stage),
+                asyncsynth::cache_key(&spec, &plain, stage),
+                "{stage:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Report types of the Muller-model composition checker, plus the
-//! classic `verify_circuit` entry points (thin wrappers over
-//! [`crate::engine`]).
+//! Report types of the Muller-model composition checker, plus its
+//! `verify_circuit` entry points (thin wrappers over [`crate::engine`]).
 
 use std::fmt;
 
 use stg::{StateSpace, Stg};
 use synth::{NetId, Netlist};
 
-use crate::engine::{verify_with, VerifyOptions};
+use crate::engine::{explore, SpecTracker, DEFAULT_VERIFY_BOUND};
 
 /// A decoded composed state, attached to every hazard and conformance
 /// witness so reports are actionable straight from the CLI/JSON output
@@ -121,8 +120,7 @@ pub struct VerificationReport {
     pub hazards: Vec<HazardWitness>,
     /// Conformance violations.
     pub violations: Vec<Violation>,
-    /// Number of composed states explored (under the incremental
-    /// engine: summed over the explored cones).
+    /// Number of composed states explored.
     pub states_explored: usize,
 }
 
@@ -163,7 +161,7 @@ impl VerificationReport {
 
 /// Verifies a netlist against its STG specification by exhaustive
 /// exploration of the composed state space, under the default
-/// [`VerifyOptions`] (composed spec tracking, 500 000-state bound).
+/// 500 000-state bound ([`DEFAULT_VERIFY_BOUND`]).
 ///
 /// `signal_nets[i]` must be the net carrying signal `i` of the STG;
 /// non-input signals must be gate outputs, inputs must be primary inputs.
@@ -180,10 +178,11 @@ pub fn verify_circuit<S: StateSpace + ?Sized>(
     netlist: &Netlist,
     signal_nets: &[NetId],
 ) -> VerificationReport {
-    verify_with(stg, sg, netlist, signal_nets, &VerifyOptions::default())
+    verify_circuit_bounded(stg, sg, netlist, signal_nets, DEFAULT_VERIFY_BOUND)
 }
 
-/// [`verify_circuit`] with an explicit composed-state limit.
+/// [`verify_circuit`] with an explicit composed-state limit; hitting it
+/// reports [`Violation::StateLimit`].
 ///
 /// # Panics
 ///
@@ -196,11 +195,6 @@ pub fn verify_circuit_bounded<S: StateSpace + ?Sized>(
     signal_nets: &[NetId],
     max_states: usize,
 ) -> VerificationReport {
-    verify_with(
-        stg,
-        sg,
-        netlist,
-        signal_nets,
-        &VerifyOptions::default().with_bound(max_states),
-    )
+    let tracker = SpecTracker::marking(sg.initial_marking());
+    explore(stg, sg, netlist, signal_nets, max_states, tracker)
 }

@@ -3,31 +3,23 @@
 //! One breadth-first core explores the Muller-model composition of a
 //! gate netlist with its STG environment over a *packed* state
 //! representation — bit-packed net values plus an interned spec-state
-//! id — and two interchangeable spec trackers decide how the
-//! specification side of each composed state is followed:
+//! id. The specification side of each composed state is tracked as a
+//! `(marking, code)` pair: markings are interned on the fly and
+//! successors come from replaying the Petri-net token game, so the
+//! engine runs against *any* backend — including resident
+//! [`stg::SymbolicSetSpace`] spaces far above the materialise limit,
+//! which only contribute their [`StateSpace::initial_marking`] and
+//! [`StateSpace::initial_values`]. (The code half of the pair needs no
+//! storage of its own: along every composed path the values of the
+//! signal nets *are* the spec code, by the consistency invariant.)
 //!
-//! * [`VerifyStrategy::ExplicitBfs`] — the seed behaviour: the spec is
-//!   tracked by its dense state-graph id through the per-state
-//!   [`StateSpace::ts`] transition structure. Requires a materialising
-//!   backend.
-//! * [`VerifyStrategy::Composed`] — the spec is tracked as a
-//!   `(marking, code)` pair: markings are interned on the fly and
-//!   successors come from replaying the Petri-net token game, so the
-//!   strategy runs against *any* backend — including resident
-//!   [`stg::SymbolicSetSpace`] spaces far above the materialise limit,
-//!   which only contribute their [`StateSpace::initial_marking`] and
-//!   [`StateSpace::initial_values`]. (The code half of the pair needs
-//!   no storage of its own: along every composed path the values of the
-//!   signal nets *are* the spec code, by the consistency invariant.)
-//!
-//! Both strategies enumerate events in transition-id order, so they
-//! explore the identical composed space in the identical order: reports
-//! and `states_explored` are byte-for-byte equal (asserted by
-//! `tests/verify_parity.rs`).
+//! The unit tests keep the seed's explicit tracker — the spec followed
+//! by its dense state-graph id through [`StateSpace::ts`] — as an
+//! oracle: both trackers enumerate events in transition-id order, so
+//! they explore the identical composed space in the identical order and
+//! their reports are byte-for-byte equal.
 
 use std::collections::{HashMap, VecDeque};
-use std::fmt;
-use std::str::FromStr;
 
 use petri::{Marking, TransitionId};
 use stg::{SignalId, SignalKind, StateSpace, Stg};
@@ -45,51 +37,7 @@ type SpecArcs = Box<[(TransitionId, u32)]>;
 /// key).
 pub const DEFAULT_VERIFY_BOUND: usize = 500_000;
 
-/// How the specification side of the composed exploration is tracked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum VerifyStrategy {
-    /// Track the spec by explicit state-graph ids over
-    /// [`StateSpace::ts`] (the seed behaviour; needs a materialising
-    /// backend).
-    ExplicitBfs,
-    /// Track the spec as interned `(marking, code)` pairs via the token
-    /// game — backend-agnostic, the default.
-    #[default]
-    Composed,
-}
-
-impl VerifyStrategy {
-    /// The strategy's canonical CLI/protocol name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            VerifyStrategy::ExplicitBfs => "explicit",
-            VerifyStrategy::Composed => "composed",
-        }
-    }
-}
-
-impl fmt::Display for VerifyStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for VerifyStrategy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "explicit" | "explicit-bfs" => Ok(VerifyStrategy::ExplicitBfs),
-            "composed" => Ok(VerifyStrategy::Composed),
-            other => Err(format!(
-                "unknown verify strategy {other:?} (expected \"explicit\" or \"composed\")"
-            )),
-        }
-    }
-}
-
-/// Configuration of one verification run.
+/// Configuration of the flow's verification stage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyOptions {
     /// Composed-state limit; hitting it reports
@@ -97,26 +45,12 @@ pub struct VerifyOptions {
     /// bounded-verification `FlowEvent`, so an inconclusive bounded run
     /// is never conflated with a real failure).
     pub bound: usize,
-    /// Spec-tracking strategy. Output-neutral (parity-tested), so it
-    /// stays out of result-cache keys, like the CSC sweep's thread
-    /// count.
-    pub strategy: VerifyStrategy,
-    /// Route the flow's verification through the memoising
-    /// [`crate::IncrementalVerifier`]: identical circuits are served
-    /// from a digest-keyed report cache, and the spec tracker plus the
-    /// settled-internal initial fixed point are reused across circuit
-    /// variants. Reports are byte-identical to the monolithic engine's
-    /// (parity-tested), so this flag — like the strategy — stays out of
-    /// result-cache keys.
-    pub incremental: bool,
 }
 
 impl Default for VerifyOptions {
     fn default() -> Self {
         VerifyOptions {
             bound: DEFAULT_VERIFY_BOUND,
-            strategy: VerifyStrategy::default(),
-            incremental: false,
         }
     }
 }
@@ -128,84 +62,6 @@ impl VerifyOptions {
         self.bound = bound;
         self
     }
-
-    /// This configuration with a different strategy.
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: VerifyStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// This configuration with the incremental engine toggled.
-    #[must_use]
-    pub fn with_incremental(mut self, incremental: bool) -> Self {
-        self.incremental = incremental;
-        self
-    }
-}
-
-/// Verifies `netlist` against `stg` under explicit options. The
-/// engine-level entry point behind [`crate::verify_circuit`]; see that
-/// function for the contract on `signal_nets`.
-///
-/// This always runs one full exploration — the memoising incremental
-/// layer needs state across calls and lives in
-/// [`crate::IncrementalVerifier`].
-///
-/// # Panics
-///
-/// Panics if `signal_nets` is shorter than the STG's signal count, and
-/// — for [`VerifyStrategy::ExplicitBfs`] only — when the backend cannot
-/// serve the per-state `ts()` view (resident spaces above the
-/// materialise limit).
-#[must_use]
-pub fn verify_with<S: StateSpace + ?Sized>(
-    stg: &Stg,
-    sg: &S,
-    netlist: &Netlist,
-    signal_nets: &[NetId],
-    options: &VerifyOptions,
-) -> VerificationReport {
-    let Some(init) = settle_initial(stg, sg, netlist, signal_nets) else {
-        return unsettled_report();
-    };
-    let mut tracker = SpecTracker::new(options.strategy, sg);
-    explore(stg, sg, netlist, signal_nets, options, &mut tracker, init)
-}
-
-/// The report of a circuit whose internal nets oscillate before any
-/// input arrives.
-pub(crate) fn unsettled_report() -> VerificationReport {
-    VerificationReport {
-        hazards: Vec::new(),
-        violations: vec![Violation::UnsettledInitialState],
-        states_explored: 0,
-    }
-}
-
-/// The initial composed net values: signal nets from the space's
-/// initial code, internal nets settled to their combinational fixed
-/// point. `None` when the internals oscillate. This fixed point depends
-/// only on the specification's initial values and the internal gates —
-/// not on the output gates — which is exactly what lets
-/// [`crate::IncrementalVerifier`] reuse it across circuit variants that
-/// only rewired their outputs.
-pub(crate) fn settle_initial<S: StateSpace + ?Sized>(
-    stg: &Stg,
-    sg: &S,
-    netlist: &Netlist,
-    signal_nets: &[NetId],
-) -> Option<Vec<bool>> {
-    let mut net_signal: Vec<Option<SignalId>> = vec![None; netlist.num_nets()];
-    for s in stg.signals() {
-        net_signal[signal_nets[s.index()].index()] = Some(s);
-    }
-    let mut init = vec![false; netlist.num_nets()];
-    let initial_values = sg.initial_values();
-    for s in stg.signals() {
-        init[signal_nets[s.index()].index()] = initial_values[s.index()];
-    }
-    settle_internals(netlist, &net_signal, &mut init).then_some(init)
 }
 
 /// A hazard recorded during exploration, before dedup and witness
@@ -223,41 +79,56 @@ enum RawViolation {
     StateLimit(usize),
 }
 
-/// One composed exploration from a pre-settled initial state, over a
-/// (possibly reused) spec tracker. Spec-driven (environment) events are
-/// the input-signal transitions; every other signal must be driven by a
-/// gate of `netlist`.
+/// Verifies `netlist` against `stg` by one composed exploration, with
+/// `tracker` following the specification side. Signal nets start at
+/// the space's initial code, internal nets at their combinational fixed
+/// point. Spec-driven (environment) events are the input-signal
+/// transitions; every other signal must be driven by a gate of
+/// `netlist`.
 pub(crate) fn explore<S: StateSpace + ?Sized>(
     stg: &Stg,
     sg: &S,
     netlist: &Netlist,
     signal_nets: &[NetId],
-    options: &VerifyOptions,
-    tracker: &mut SpecTracker,
-    init: Vec<bool>,
+    bound: usize,
+    mut tracker: SpecTracker,
 ) -> VerificationReport {
     assert!(signal_nets.len() >= stg.num_signals());
-    let mut hazards: Vec<RawHazard> = Vec::new();
-    let mut violations: Vec<RawViolation> = Vec::new();
     // Reverse map: which net carries which signal.
     let mut net_signal: Vec<Option<SignalId>> = vec![None; netlist.num_nets()];
     for s in stg.signals() {
         net_signal[signal_nets[s.index()].index()] = Some(s);
     }
+    let mut init = vec![false; netlist.num_nets()];
+    let initial_values = sg.initial_values();
+    for s in stg.signals() {
+        init[signal_nets[s.index()].index()] = initial_values[s.index()];
+    }
+    if !settle_internals(netlist, &net_signal, &mut init) {
+        return VerificationReport {
+            hazards: Vec::new(),
+            violations: vec![Violation::UnsettledInitialState],
+            states_explored: 0,
+        };
+    }
+
+    let mut hazards: Vec<RawHazard> = Vec::new();
+    let mut violations: Vec<RawViolation> = Vec::new();
     let env: Vec<bool> = stg
         .signals()
         .map(|s| stg.signal_kind(s) == SignalKind::Input)
         .collect();
 
+    // Spec state 0 is the initial state under either tracker.
     let mut arena = StateArena::new(netlist.num_nets());
-    let start = arena.intern(tracker.initial(), &init);
+    let start = arena.intern(0, &init);
     debug_assert_eq!(start, 0);
     let mut queue: VecDeque<u32> = VecDeque::new();
     queue.push_back(0);
 
     'bfs: while let Some(si) = queue.pop_front() {
         let (spec, values) = arena.unpack(si);
-        let arcs = tracker.arcs(stg, sg, spec);
+        let arcs = tracker.arcs(stg, spec);
         let excited = netlist.excited_gates(&values);
 
         // Conformance: stability vs expected (gate-tracked) activity.
@@ -310,14 +181,7 @@ pub(crate) fn explore<S: StateSpace + ?Sized>(
             check_hazards(&mut hazards, None, &next, &|| {
                 format!("input {}", stg.label_string(t))
             });
-            if !enqueue(
-                &mut arena,
-                &mut queue,
-                &mut violations,
-                succ,
-                &next,
-                options.bound,
-            ) {
+            if !enqueue(&mut arena, &mut queue, &mut violations, succ, &next, bound) {
                 break 'bfs;
             }
         }
@@ -356,7 +220,7 @@ pub(crate) fn explore<S: StateSpace + ?Sized>(
                 &mut violations,
                 next_spec,
                 &next,
-                options.bound,
+                bound,
             ) {
                 break 'bfs;
             }
@@ -427,7 +291,7 @@ fn enqueue(
 }
 
 /// Settles all internal (non-signal) nets; `false` if they oscillate.
-pub(crate) fn settle_internals(
+fn settle_internals(
     netlist: &Netlist,
     net_signal: &[Option<SignalId>],
     values: &mut [bool],
@@ -563,9 +427,6 @@ impl StateArena {
 /// by transition id.
 #[derive(Debug)]
 pub(crate) enum SpecTracker {
-    /// Ids are the materialised backend's own state indices; arcs come
-    /// from its `ts()` view.
-    Explicit { arcs: HashMap<u32, SpecArcs> },
     /// Ids intern reachable markings in discovery order; arcs come from
     /// replaying the token game, lazily, one spec state at a time.
     Marking {
@@ -573,27 +434,16 @@ pub(crate) enum SpecTracker {
         markings: Vec<Marking>,
         arcs: Vec<Option<SpecArcs>>,
     },
+    /// The test oracle: ids are the materialised backend's own state
+    /// indices; arcs come from its `ts()` view.
+    #[cfg(test)]
+    Explicit { arcs: Vec<SpecArcs> },
 }
 
 impl SpecTracker {
-    /// A fresh tracker for one strategy over one space. Trackers are
-    /// circuit-independent — [`crate::IncrementalVerifier`] keeps one
-    /// per specification and reuses it across every circuit variant it
-    /// verifies, so the spec side of the composition is derived once.
-    pub(crate) fn new<S: StateSpace + ?Sized>(strategy: VerifyStrategy, sg: &S) -> Self {
-        match strategy {
-            VerifyStrategy::ExplicitBfs => SpecTracker::explicit(),
-            VerifyStrategy::Composed => SpecTracker::marking(sg.initial_marking()),
-        }
-    }
-
-    fn explicit() -> Self {
-        SpecTracker::Explicit {
-            arcs: HashMap::new(),
-        }
-    }
-
-    fn marking(initial: Marking) -> Self {
+    /// The production tracker, starting from the space's initial
+    /// marking.
+    pub(crate) fn marking(initial: Marking) -> Self {
         let mut index = HashMap::new();
         index.insert(initial.clone(), 0);
         SpecTracker::Marking {
@@ -603,29 +453,28 @@ impl SpecTracker {
         }
     }
 
-    fn initial(&mut self) -> u32 {
-        0
-    }
-
-    /// The enabled arcs of spec state `s`, sorted by transition id
-    /// (computed once per spec state, then served from the cache).
-    fn arcs<S: StateSpace + ?Sized>(
-        &mut self,
-        stg: &Stg,
-        sg: &S,
-        s: u32,
-    ) -> &[(TransitionId, u32)] {
-        match self {
-            SpecTracker::Explicit { arcs } => arcs.entry(s).or_insert_with(|| {
+    /// The seed's state-graph walk over a materialising backend.
+    #[cfg(test)]
+    pub(crate) fn explicit<S: StateSpace + ?Sized>(sg: &S) -> Self {
+        let arcs = (0..sg.num_states())
+            .map(|s| {
                 let mut out: Vec<(TransitionId, u32)> = sg
                     .ts()
-                    .successors(s as usize)
+                    .successors(s)
                     .map(|(&t, to)| (t, u32::try_from(to).expect("spec state fits u32")))
                     .collect();
                 out.sort_by_key(|&(t, _)| t);
                 out.dedup_by_key(|&mut (t, _)| t);
                 out.into_boxed_slice()
-            }),
+            })
+            .collect();
+        SpecTracker::Explicit { arcs }
+    }
+
+    /// The enabled arcs of spec state `s`, sorted by transition id
+    /// (computed once per spec state, then served from the cache).
+    fn arcs(&mut self, stg: &Stg, s: u32) -> &[(TransitionId, u32)] {
+        match self {
             SpecTracker::Marking {
                 index,
                 markings,
@@ -658,6 +507,8 @@ impl SpecTracker {
                 }
                 arcs[s as usize].as_ref().expect("just filled")
             }
+            #[cfg(test)]
+            SpecTracker::Explicit { arcs } => &arcs[s as usize],
         }
     }
 }

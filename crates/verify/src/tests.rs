@@ -145,78 +145,110 @@ fn correct_toggle_accepted() {
 }
 
 // ---------------------------------------------------------------------
-// Engine strategies and the incremental per-cone verifier
+// The marking tracker against the explicit state-graph oracle
 // ---------------------------------------------------------------------
 
-use crate::{verify_with, IncrementalVerifier, VerifyOptions, VerifyStrategy};
+use stg::examples::{micropipeline, vme_read, vme_read_write};
+use stg::{Backend, StateSpace};
 
-fn both_strategies(
+use crate::engine::{explore, SpecTracker};
+use crate::VerificationReport;
+
+/// One verification under each spec tracker: the explicit state-graph
+/// oracle and the production marking tracker.
+fn both_trackers(
     stg: &stg::Stg,
+    sg: &dyn StateSpace,
     netlist: &Netlist,
     nets: &[NetId],
-) -> (crate::VerificationReport, crate::VerificationReport) {
-    let sg = StateGraph::build(stg).unwrap();
-    let explicit = verify_with(
-        stg,
-        &sg,
-        netlist,
-        nets,
-        &VerifyOptions::default().with_strategy(VerifyStrategy::ExplicitBfs),
-    );
-    let composed = verify_with(
-        stg,
-        &sg,
-        netlist,
-        nets,
-        &VerifyOptions::default().with_strategy(VerifyStrategy::Composed),
-    );
+    bound: usize,
+) -> (VerificationReport, VerificationReport) {
+    let explicit = explore(stg, sg, netlist, nets, bound, SpecTracker::explicit(sg));
+    let marking = SpecTracker::marking(sg.initial_marking());
+    let composed = explore(stg, sg, netlist, nets, bound, marking);
     (explicit, composed)
+}
+
+/// The oracle inputs: the four specs of `tests/verify_parity.rs`
+/// (CSC-resolved by the mixed sweep where needed), each with its
+/// complex-gate circuit and its naive fan-in-2 decomposition, on both
+/// backends.
+fn oracle_cases() -> Vec<(String, stg::Stg, Backend, Netlist, Vec<NetId>)> {
+    let specs = [
+        ("vme_read_csc", vme_read_csc()),
+        ("vme_read", vme_read()),
+        ("vme_read_write", vme_read_write()),
+        ("micropipeline2", micropipeline(2)),
+    ];
+    let mut cases = Vec::new();
+    for (name, spec) in specs {
+        let sg = StateGraph::build(&spec).unwrap();
+        let spec = match synthesize_complex_gates(&spec, &sg) {
+            Ok(_) => spec,
+            Err(_) => {
+                synth::csc::resolve_mixed(&spec, 3)
+                    .unwrap_or_else(|| panic!("{name}: a mixed resolution restores CSC"))
+                    .stg
+            }
+        };
+        let sg = StateGraph::build(&spec).unwrap();
+        let circuit = synthesize_complex_gates(&spec, &sg).unwrap();
+        let dec = decompose(&spec, &circuit, 2);
+        for backend in [Backend::Explicit, Backend::SymbolicSet] {
+            let nets = spec.signals().map(|s| circuit.signal_net(s)).collect();
+            let label = format!("{name}/{backend}/complex");
+            cases.push((
+                label,
+                spec.clone(),
+                backend,
+                circuit.netlist().clone(),
+                nets,
+            ));
+            let nets = spec.signals().map(|s| dec.signal_net(s)).collect();
+            let label = format!("{name}/{backend}/decomposed");
+            cases.push((label, spec.clone(), backend, dec.netlist().clone(), nets));
+        }
+    }
+    cases
 }
 
 #[test]
 fn strategies_explore_identically_on_passing_and_failing_circuits() {
-    // Passing: the complex-gate VME circuit. Failing: its naive
-    // decomposition (Fig. 9b). Reports — hazards, violations, decoded
-    // witnesses, states_explored — must be byte-for-byte equal.
-    let stg = vme_read_csc();
-    let sg = StateGraph::build(&stg).unwrap();
-    let circuit = synthesize_complex_gates(&stg, &sg).unwrap();
-    let nets = signal_nets_of(&stg, |s| circuit.signal_net(s), &circuit);
-    let (explicit, composed) = both_strategies(&stg, circuit.netlist(), &nets);
-    assert!(explicit.is_speed_independent());
-    assert_eq!(explicit, composed, "passing circuit");
-
-    let dec = decompose(&stg, &circuit, 2);
-    let dnets = signal_nets_of(&stg, |s| dec.signal_net(s), &dec);
-    let (explicit, composed) = both_strategies(&stg, dec.netlist(), &dnets);
-    assert!(!explicit.is_speed_independent());
-    assert_eq!(explicit, composed, "failing circuit");
+    // Reports — hazards, violations, decoded witnesses, states_explored
+    // — must be byte-for-byte equal under both trackers, on circuits
+    // that pass and on circuits that fail.
+    let mut verdicts = (0, 0);
+    for (label, spec, backend, netlist, nets) in oracle_cases() {
+        let sg = backend.build(&spec).unwrap();
+        let (explicit, composed) =
+            both_trackers(&spec, &*sg, &netlist, &nets, crate::DEFAULT_VERIFY_BOUND);
+        assert_eq!(explicit, composed, "{label}");
+        if explicit.is_speed_independent() {
+            verdicts.0 += 1;
+        } else {
+            verdicts.1 += 1;
+        }
+    }
+    assert!(
+        verdicts.0 > 0 && verdicts.1 > 0,
+        "the oracle must see both passing and failing circuits: {verdicts:?}"
+    );
 }
 
 #[test]
 fn bound_hit_is_reported_identically_by_both_strategies() {
-    let stg = vme_read_csc();
-    let sg = StateGraph::build(&stg).unwrap();
-    let circuit = synthesize_complex_gates(&stg, &sg).unwrap();
-    let nets = signal_nets_of(&stg, |s| circuit.signal_net(s), &circuit);
-    for strategy in [VerifyStrategy::ExplicitBfs, VerifyStrategy::Composed] {
-        let report = verify_with(
-            &stg,
-            &sg,
-            circuit.netlist(),
-            &nets,
-            &VerifyOptions::default()
-                .with_bound(5)
-                .with_strategy(strategy),
-        );
-        assert!(report.hit_state_limit(), "{strategy}: bound must be hit");
-        assert_eq!(report.states_explored, 5, "{strategy}");
+    for (label, spec, backend, netlist, nets) in oracle_cases() {
+        let sg = backend.build(&spec).unwrap();
+        let (explicit, composed) = both_trackers(&spec, &*sg, &netlist, &nets, 5);
+        assert_eq!(explicit, composed, "{label}");
+        assert!(explicit.hit_state_limit(), "{label}: bound must be hit");
+        assert_eq!(explicit.states_explored, 5, "{label}");
         assert!(
-            report
+            explicit
                 .violations
                 .iter()
                 .any(|v| matches!(v, crate::Violation::StateLimit(5))),
-            "{strategy}"
+            "{label}"
         );
     }
 }
@@ -249,84 +281,4 @@ fn witnesses_decode_the_offending_state() {
     let text = report.violations[0].to_string();
     assert!(text.contains("code"), "{text}");
     assert!(text.contains("a="), "{text}");
-}
-
-#[test]
-fn incremental_is_byte_identical_to_monolithic() {
-    // Fig. 9a (resubstituted, hazard-free) and Fig. 9b (naive,
-    // hazardous) through the memoising verifier: reports equal the
-    // monolithic engine's exactly, and repeats are pure cache hits.
-    let stg = vme_read_csc();
-    let sg = StateGraph::build(&stg).unwrap();
-    let circuit = synthesize_complex_gates(&stg, &sg).unwrap();
-    let dec = decompose(&stg, &circuit, 2);
-    let dnets = signal_nets_of(&stg, |s| dec.signal_net(s), &dec);
-    let resub = resubstitute(&stg, &sg, &dec);
-    let rnets = signal_nets_of(&stg, |s| resub.signal_net(s), &resub);
-
-    let options = VerifyOptions::default().with_incremental(true);
-    let mut verifier = IncrementalVerifier::new();
-    let naive_inc = verifier.verify(&stg, &sg, dec.netlist(), &dnets, &options);
-    let naive_mono = verify_with(&stg, &sg, dec.netlist(), &dnets, &VerifyOptions::default());
-    assert_eq!(naive_inc, naive_mono, "9b byte-identical");
-    assert!(!naive_inc.is_speed_independent());
-
-    let resub_inc = verifier.verify(&stg, &sg, resub.netlist(), &rnets, &options);
-    let resub_mono = verify_with(
-        &stg,
-        &sg,
-        resub.netlist(),
-        &rnets,
-        &VerifyOptions::default(),
-    );
-    assert_eq!(resub_inc, resub_mono, "9a byte-identical");
-    assert!(resub_inc.is_speed_independent(), "{}", resub_inc.summary());
-
-    // Re-verifying the identical circuit (the pipeline's final probe
-    // of an already-probed variant) is a pure cache hit.
-    let before = verifier.stats();
-    let again = verifier.verify(&stg, &sg, resub.netlist(), &rnets, &options);
-    assert_eq!(again, resub_inc);
-    let after = verifier.stats();
-    assert_eq!(
-        after.full_hits,
-        before.full_hits + 1,
-        "probe re-verify is a full hit"
-    );
-    assert_eq!(after.full_misses, before.full_misses, "nothing re-explored");
-}
-
-#[test]
-fn incremental_reuses_spec_side_and_settles_across_variants() {
-    // The naive decomposition and its resubstituted repair share the
-    // specification and the internal (mapN) gates: the second verify
-    // must reuse the memoised spec tracker and the settled-internal
-    // fixed point even though the output gates changed.
-    let stg = vme_read_csc();
-    let sg = StateGraph::build(&stg).unwrap();
-    let circuit = synthesize_complex_gates(&stg, &sg).unwrap();
-    let dec = decompose(&stg, &circuit, 2);
-    let dnets = signal_nets_of(&stg, |s| dec.signal_net(s), &dec);
-    let resub = resubstitute(&stg, &sg, &dec);
-    let rnets = signal_nets_of(&stg, |s| resub.signal_net(s), &resub);
-
-    let options = VerifyOptions::default().with_incremental(true);
-    let mut verifier = IncrementalVerifier::new();
-    let _ = verifier.verify(&stg, &sg, dec.netlist(), &dnets, &options);
-    let cold = verifier.stats();
-    assert_eq!(cold.settle_misses, 1);
-    assert_eq!(cold.tracker_reuses, 0);
-
-    let repaired = verifier.verify(&stg, &sg, resub.netlist(), &rnets, &options);
-    assert!(repaired.is_speed_independent());
-    let warm = verifier.stats();
-    assert_eq!(warm.full_misses, 2, "different circuit: report not shared");
-    assert_eq!(
-        warm.settle_hits, 1,
-        "unchanged internals: settled fixed point reused ({warm:?})"
-    );
-    assert_eq!(
-        warm.tracker_reuses, 1,
-        "same spec: token game derived once ({warm:?})"
-    );
 }

@@ -89,7 +89,7 @@ pub use pipeline::{
     CacheOutcome, CacheStage, CachedRun, Checked, Circuit, CscCandidate, CscKind, CscResolved,
     CscStrategy, CscTransformation, FlowEvent, FlowObserver, NullObserver, PipelineError,
     SweepOptions, SweepStats, Synthesis, SynthesisOptions, Synthesized, Verification, Verified,
-    VerifyOptions, VerifyStrategy,
+    VerifyOptions,
 };
 pub use summary::SynthesisSummary;
 pub use trace::TraceBuilder;

@@ -39,8 +39,8 @@ use synth::decompose::{decompose, resubstitute, DecomposedCircuit};
 use synth::latch_arch::{synthesize_latch_circuit, LatchCircuit, LatchStyle};
 use synth::library::{map_to_library, Library, Mapping};
 use synth::NetId;
-use verify::{IncrementalVerifier, VerificationReport};
-pub use verify::{VerifyOptions, VerifyStrategy};
+use verify::VerificationReport;
+pub use verify::VerifyOptions;
 
 pub use stg::Backend;
 
@@ -144,7 +144,7 @@ impl std::str::FromStr for CscStrategy {
 }
 
 /// Options shared by [`Synthesis`] and [`run_batch`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SynthesisOptions {
     /// State-space engine used by every stage.
     pub backend: Backend,
@@ -163,12 +163,8 @@ pub struct SynthesisOptions {
     pub max_fanin: Option<usize>,
     /// Skip the final speed-independence verification (it is exhaustive).
     pub skip_verification: bool,
-    /// Verification engine configuration (composed-state bound,
-    /// spec-tracking strategy, memoising incremental mode). The
-    /// strategy and the incremental flag never change the flow's output
-    /// (`tests/verify_parity.rs` asserts byte-identical flows) and stay
-    /// out of cache keys; the bound (a limit hit changes results)
-    /// participates.
+    /// Verification configuration: the composed-state bound, which
+    /// salts the cache key (a limit hit changes results).
     pub verify: VerifyOptions,
 }
 
@@ -532,12 +528,11 @@ impl fmt::Display for FlowEvent {
 /// event log.
 ///
 /// Every value comes from [`FlowEvent`]s, which the parity suites prove
-/// byte-identical across sweep thread counts, verify strategies and
-/// incremental mode (and across backends where flow parity holds) — so
-/// the result inherits those invariants and is safe to pin in the
-/// corpus ledger and gate for drift. Counters that depend on the
-/// backend or on memoisation state (BDD nodes, decoded states, memo
-/// hits) are deliberately absent; see [`Verified::advisory_metrics`].
+/// byte-identical across sweep thread counts (and across backends where
+/// flow parity holds) — so the result inherits those invariants and is
+/// safe to pin in the corpus ledger and gate for drift. Counters that
+/// depend on the backend (BDD nodes, decoded states) are deliberately
+/// absent; see [`Verified::advisory_metrics`].
 ///
 /// Only counters whose originating event appears are emitted, so a
 /// check-stage slice carries `states` but no `sweep_*` keys. Keys:
@@ -692,8 +687,7 @@ impl Synthesis {
         self
     }
 
-    /// Configures the verification engine (bound, strategy,
-    /// incremental mode).
+    /// Configures the verification stage (its composed-state bound).
     #[must_use]
     pub fn verify_options(mut self, verify: VerifyOptions) -> Self {
         self.options.verify = verify;
@@ -964,38 +958,14 @@ impl CscResolved {
     pub fn synthesize(mut self) -> Result<Synthesized, PipelineError> {
         let mut last_error = PipelineError::CscUnresolved { events: Vec::new() };
         let candidates = std::mem::take(&mut self.candidates);
-        // One memoising verifier across the whole candidate loop: under
-        // `VerifyOptions::incremental`, re-verifying a circuit variant
-        // re-explores only the cones of the gates that changed, and the
-        // final probe of an already-verified variant is a pure cache
-        // hit.
-        let mut verifier = if self.options.verify.incremental {
-            Some(IncrementalVerifier::new())
-        } else {
-            None
-        };
         for (index, candidate) in candidates.into_iter().enumerate() {
-            match synthesize_candidate(candidate, &self.options, verifier.as_mut()) {
+            match synthesize_candidate(candidate, &self.options) {
                 Ok((mut synthesized, mut events)) => {
                     if let Some(t) = &synthesized.transformation {
                         self.events.push(FlowEvent::CscApplied(t.clone()));
                     }
                     self.events.append(&mut events);
                     synthesized.events = self.events;
-                    // Memoisation counters are advisory telemetry: they
-                    // depend on the verify strategy and incremental
-                    // flag, which the parity suite proves output-neutral
-                    // — so they ride outside the events/summary and
-                    // never reach the cache or the drift-gated set.
-                    if let Some(v) = &verifier {
-                        let s = v.stats();
-                        let adv = &mut synthesized.advisory;
-                        adv.set("incremental_full_hits", s.full_hits as u64);
-                        adv.set("incremental_full_misses", s.full_misses as u64);
-                        adv.set("incremental_settle_hits", s.settle_hits as u64);
-                        adv.set("incremental_settle_misses", s.settle_misses as u64);
-                        adv.set("incremental_tracker_reuses", s.tracker_reuses as u64);
-                    }
                     return Ok(synthesized);
                 }
                 Err((e, mut events)) => {
@@ -1021,29 +991,22 @@ impl CscResolved {
     }
 }
 
-/// Runs one verification through the configured engine: the shared
-/// memoising [`IncrementalVerifier`] when the flow enables incremental
-/// mode, the monolithic engine otherwise. A bound hit is surfaced as
-/// [`FlowEvent::VerificationBounded`] so it is never conflated with a
-/// real failure.
+/// Runs one verification under the configured bound. A bound hit is
+/// surfaced as [`FlowEvent::VerificationBounded`] so it is never
+/// conflated with a real failure.
 fn run_verify(
     spec: &Stg,
     space: &dyn StateSpace,
     netlist: &synth::Netlist,
     nets: &[NetId],
     options: &SynthesisOptions,
-    verifier: Option<&mut IncrementalVerifier>,
     events: &mut Vec<FlowEvent>,
 ) -> VerificationReport {
-    let report = match verifier {
-        Some(v) if options.verify.incremental => {
-            v.verify(spec, space, netlist, nets, &options.verify)
-        }
-        _ => verify::verify_with(spec, space, netlist, nets, &options.verify),
-    };
+    let bound = options.verify.bound;
+    let report = verify::verify_circuit_bounded(spec, space, netlist, nets, bound);
     if report.hit_state_limit() {
         events.push(FlowEvent::VerificationBounded {
-            bound: options.verify.bound,
+            bound,
             states_explored: report.states_explored,
         });
     }
@@ -1056,7 +1019,6 @@ fn run_verify(
 fn synthesize_candidate(
     candidate: CscCandidate,
     options: &SynthesisOptions,
-    mut verifier: Option<&mut IncrementalVerifier>,
 ) -> Result<(Synthesized, Vec<FlowEvent>), (PipelineError, Vec<FlowEvent>)> {
     let mut events = Vec::new();
     let CscCandidate {
@@ -1093,17 +1055,15 @@ fn synthesize_candidate(
     // (`ts()`/`code()`), which the resident-BDD backend only serves
     // through its small-space materialised view — refuse with a clean
     // error instead of letting the view's size assertion abort the
-    // process mid-flow. Verification itself no longer needs the view:
-    // the composed strategy runs set-level against any backend (only
-    // the legacy explicit-BFS strategy still walks `ts()`).
-    let needs_per_state = !matches!(options.architecture, Architecture::ComplexGate)
-        || (!options.skip_verification && options.verify.strategy == VerifyStrategy::ExplicitBfs);
+    // process mid-flow. Verification itself needs no view: it runs
+    // set-level against any backend.
+    let needs_per_state = !matches!(options.architecture, Architecture::ComplexGate);
     if needs_per_state && space.set_level_native() && space.num_states() > stg::MATERIALISE_LIMIT {
         return fail(
             PipelineError::Synthesis(format!(
                 "state space has {} states — too large for the resident-BDD backend's \
                  per-state architecture paths (limit {}); re-run under the complex-gate \
-                 architecture with the composed verify strategy, or an enumerating backend",
+                 architecture, or an enumerating backend",
                 space.num_states(),
                 stg::MATERIALISE_LIMIT
             )),
@@ -1121,8 +1081,11 @@ fn synthesize_candidate(
         count: complex.equations().len(),
     });
 
-    // Architecture mapping (§3.4).
+    // Architecture mapping (§3.4). A decomposition that verified as-is
+    // keeps its report for the probe below: same netlist, same nets,
+    // so one exploration serves both.
     let max_fanin = options.max_fanin.unwrap_or(2);
+    let mut verified_naive = None;
     let circuit = match options.architecture {
         Architecture::ComplexGate => Circuit::Complex(complex.clone()),
         Architecture::CElement => {
@@ -1139,21 +1102,13 @@ fn synthesize_candidate(
         }
         Architecture::Decomposed => {
             // Fig. 9: try the naive decomposition; if it is hazardous,
-            // repair by resubstitution (multiple acknowledgment). Under
-            // incremental verification the repair's re-verification
-            // reuses every cone the resubstitution left unchanged.
+            // repair by resubstitution (multiple acknowledgment).
             let naive = decompose(&spec, &complex, max_fanin);
             let nets: Vec<NetId> = spec.signals().map(|s| naive.signal_net(s)).collect();
-            let naive_report = run_verify(
-                &spec,
-                &*space,
-                naive.netlist(),
-                &nets,
-                options,
-                verifier.as_deref_mut(),
-                &mut events,
-            );
+            let naive_report =
+                run_verify(&spec, &*space, naive.netlist(), &nets, options, &mut events);
             if naive_report.is_speed_independent() {
+                verified_naive = Some(naive_report);
                 Circuit::Decomposed(naive)
             } else {
                 Circuit::Decomposed(resubstitute(&spec, &*space, &naive))
@@ -1200,28 +1155,16 @@ fn synthesize_candidate(
                     );
                 }
                 let (atomic, nets) = latch.atomic_netlist(&spec);
-                run_verify(
-                    &spec,
-                    &*space,
-                    &atomic,
-                    &nets,
-                    options,
-                    verifier,
-                    &mut events,
-                )
+                run_verify(&spec, &*space, &atomic, &nets, options, &mut events)
             }
-            _ => {
-                let nets = circuit.signal_nets(&spec);
-                run_verify(
-                    &spec,
-                    &*space,
-                    circuit.netlist(),
-                    &nets,
-                    options,
-                    verifier,
-                    &mut events,
-                )
-            }
+            _ => match verified_naive {
+                Some(report) => report,
+                None => {
+                    let nets = circuit.signal_nets(&spec);
+                    let netlist = circuit.netlist();
+                    run_verify(&spec, &*space, netlist, &nets, options, &mut events)
+                }
+            },
         };
         if !v.is_speed_independent() {
             return fail(PipelineError::VerificationFailed(Box::new(v)), events);
@@ -1429,10 +1372,9 @@ impl Verified {
     }
 
     /// Advisory operation counters for this run: BDD nodes, lazily
-    /// decoded states, incremental-verifier memo hits. Unlike
-    /// [`flow_metrics`] these vary by backend, verify strategy and
-    /// incremental mode, so they never enter the summary, the cache or
-    /// any drift-gated artifact.
+    /// decoded states. Unlike [`flow_metrics`] these vary by backend, so
+    /// they never enter the summary, the cache or any drift-gated
+    /// artifact.
     #[must_use]
     pub fn advisory_metrics(&self) -> &telemetry::Counters {
         &self.advisory
@@ -1477,8 +1419,8 @@ use crate::summary::SynthesisSummary;
 /// (v4: summaries carry the deterministic [`flow_metrics`] counters and
 /// circuit events carry the minimiser's prime count. v3: verification
 /// runs through the composed engine — summaries carry its event log,
-/// rejected candidates keep their events, and the verify
-/// bound/incremental options joined the key. v2: next-state derivation
+/// rejected candidates keep their events, and the verify bound joined
+/// the key. v2: next-state derivation
 /// feeds the minimiser deduplicated, lexicographically sorted code
 /// cubes — cover-size ties can resolve differently than v1's
 /// first-occurrence order.)
@@ -1535,11 +1477,7 @@ pub fn cache_key(spec: &Stg, options: &SynthesisOptions, stage: CacheStage) -> D
         });
     }
     // The verify bound salts the Full key: a bounded run can fail where
-    // a bigger budget would pass. The spec-tracking strategy and the
-    // incremental flag are output-neutral — `verify_parity.rs` asserts
-    // byte-identical flows across both — so, like the sweep's thread
-    // count, they stay out and a cache warmed under one configuration
-    // serves the others.
+    // a bigger budget would pass.
     let verify_bound = options.verify.bound.to_string();
     if matches!(stage, CacheStage::Full) {
         extras.push(options.architecture.name());

@@ -51,10 +51,9 @@ pub struct SynthesisSummary {
     pub composed_states: Option<usize>,
     /// Deterministic operation counters derived from the event log
     /// (see [`flow_metrics`]): thread-count-invariant, drift-gated by
-    /// the corpus ledger. Advisory counters (BDD nodes, memo hits)
-    /// deliberately never appear here — summaries are byte-identical
-    /// across verify strategies and shared across cache keys, which
-    /// only the deterministic set preserves.
+    /// the corpus ledger. Advisory counters (BDD nodes, decoded
+    /// states) deliberately never appear here — summaries are shared
+    /// across cache keys, which only the deterministic set preserves.
     pub metrics: Counters,
     /// The flow's diagnostic event log, rendered.
     pub events: Vec<String>,

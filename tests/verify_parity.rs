@@ -1,8 +1,7 @@
-//! Verification-engine parity: the explicit-BFS and composed
-//! spec-tracking strategies — and the memoising incremental layer —
-//! must be observationally identical on every backend, and the
-//! composed strategy must run set-level on resident symbolic spaces
-//! above the materialise limit, where the pipeline previously refused
+//! Verification-engine backend parity: the composed engine must be
+//! observationally identical on the explicit and `symbolic-set`
+//! backends, and must run set-level on resident symbolic spaces above
+//! the materialise limit, where the pipeline previously refused
 //! per-state verification outright.
 
 use asyncsynth::{Backend, Synthesis, SynthesisOptions, SynthesisSummary};
@@ -10,10 +9,9 @@ use stg::examples::{micropipeline, vme_read, vme_read_csc, vme_read_write};
 use stg::{SignalEdge, SignalKind, StateSpace, Stg, StgBuilder};
 use synth::complex_gate::synthesize_complex_gates;
 use synth::{GateKind, NetId, Netlist};
-use verify::{verify_with, IncrementalVerifier, VerifyOptions, VerifyStrategy};
+use verify::{verify_circuit, VerifyOptions};
 
 const BACKENDS: [Backend; 2] = [Backend::Explicit, Backend::SymbolicSet];
-const STRATEGIES: [VerifyStrategy; 2] = [VerifyStrategy::ExplicitBfs, VerifyStrategy::Composed];
 
 fn specs() -> Vec<(&'static str, Stg)> {
     vec![
@@ -25,10 +23,9 @@ fn specs() -> Vec<(&'static str, Stg)> {
 }
 
 /// Direct engine parity: identical reports — hazards, violations,
-/// decoded witnesses and `states_explored` — across both strategies,
-/// all three backends, and the incremental layer.
+/// decoded witnesses and `states_explored` — on both backends.
 #[test]
-fn reports_identical_across_strategies_and_backends() {
+fn reports_identical_across_backends() {
     for (name, spec) in specs() {
         // Synthesise once on the explicit backend; CSC-clean specs only
         // (the others go through the flow-level test below).
@@ -37,42 +34,10 @@ fn reports_identical_across_strategies_and_backends() {
             continue;
         };
         let nets: Vec<NetId> = spec.signals().map(|s| circuit.signal_net(s)).collect();
-        let reference = verify_with(
-            &spec,
-            &*space,
-            circuit.netlist(),
-            &nets,
-            &VerifyOptions::default().with_strategy(VerifyStrategy::ExplicitBfs),
-        );
-        for backend in BACKENDS {
-            let space = backend.build(&spec).unwrap();
-            for strategy in STRATEGIES {
-                let report = verify_with(
-                    &spec,
-                    &*space,
-                    circuit.netlist(),
-                    &nets,
-                    &VerifyOptions::default().with_strategy(strategy),
-                );
-                assert_eq!(
-                    report, reference,
-                    "{name}: {backend}/{strategy} diverges from the reference"
-                );
-            }
-            let mut verifier = IncrementalVerifier::new();
-            for _ in 0..2 {
-                // Cold, then a pure cache hit: both byte-identical.
-                let report = verifier.verify(
-                    &spec,
-                    &*space,
-                    circuit.netlist(),
-                    &nets,
-                    &VerifyOptions::default().with_incremental(true),
-                );
-                assert_eq!(report, reference, "{name}: incremental on {backend}");
-            }
-            assert_eq!(verifier.stats().full_hits, 1, "{name}: repeat is a hit");
-        }
+        let reference = verify_circuit(&spec, &*space, circuit.netlist(), &nets);
+        let space = Backend::SymbolicSet.build(&spec).unwrap();
+        let report = verify_circuit(&spec, &*space, circuit.netlist(), &nets);
+        assert_eq!(report, reference, "{name}: symbolic-set diverges");
     }
 }
 
@@ -89,105 +54,65 @@ fn flow_backends() -> &'static [Backend] {
     }
 }
 
+/// Runs the default flow of `spec` on `backend`.
+fn run(name: &str, spec: &Stg, backend: Backend) -> (asyncsynth::Verified, SynthesisOptions) {
+    let options = SynthesisOptions {
+        backend,
+        ..Default::default()
+    };
+    let verified = Synthesis::with_options(spec.clone(), options.clone())
+        .run()
+        .unwrap_or_else(|e| panic!("{name} ({backend}): {e}"));
+    (verified, options)
+}
+
 /// Flow-level byte parity: the rendered `SynthesisSummary` JSON —
 /// equations, netlist, verification, the whole event log — is identical
-/// whatever the backend, the spec-tracking strategy, or the incremental
-/// flag (which is why strategy and incremental stay out of cache keys).
+/// whatever the backend.
 #[test]
-fn pipeline_output_byte_identical_across_strategies_and_backends() {
+fn pipeline_output_byte_identical_across_backends() {
     for (name, spec) in specs() {
-        let run = |backend: Backend, strategy: VerifyStrategy, incremental: bool| -> String {
-            let options = SynthesisOptions {
-                backend,
-                verify: VerifyOptions::default()
-                    .with_strategy(strategy)
-                    .with_incremental(incremental),
-                ..Default::default()
-            };
-            let verified = Synthesis::with_options(spec.clone(), options.clone())
-                .run()
-                .unwrap_or_else(|e| panic!("{name} ({backend}/{strategy}): {e}"));
-            SynthesisSummary::from_verified(&verified, &options)
+        let render = |backend: Backend| {
+            let (verified, options) = run(name, &spec, backend);
+            let text = SynthesisSummary::from_verified(&verified, &options)
                 .to_json()
-                .render()
-        };
-        // The summary names its backend, so cross-backend comparison
-        // normalises that one field; everything else — equations,
-        // netlist, verification, the whole event log — must be
-        // byte-equal.
-        let neutral = |text: &str, backend: Backend| {
+                .render();
+            // The summary names its backend, so cross-backend
+            // comparison normalises that one field; everything else
+            // must be byte-equal.
             text.replace(
                 &format!("\"backend\":\"{}\"", backend.name()),
                 "\"backend\":\"*\"",
             )
             .replace(&format!("({})", backend.name()), "(*)")
         };
-        let reference = neutral(
-            &run(Backend::Explicit, VerifyStrategy::ExplicitBfs, false),
-            Backend::Explicit,
-        );
+        let reference = render(Backend::Explicit);
         for &backend in flow_backends() {
-            for strategy in STRATEGIES {
-                assert_eq!(
-                    neutral(&run(backend, strategy, false), backend),
-                    reference,
-                    "{name}: {backend}/{strategy} flow bytes"
-                );
-            }
-            assert_eq!(
-                neutral(&run(backend, VerifyStrategy::Composed, true), backend),
-                reference,
-                "{name}: {backend}/incremental flow bytes"
-            );
+            assert_eq!(render(backend), reference, "{name}: {backend} flow bytes");
         }
     }
 }
 
 /// The telemetry split: the deterministic metric set of the summary is
-/// byte-identical across verify strategies, the incremental flag and
-/// (in release, where the flow matrix runs) all three backends — while
-/// the advisory counters legitimately vary and ride outside the
-/// summary, on [`asyncsynth::Verified::advisory_metrics`].
+/// byte-identical across (in release, where the flow matrix runs) both
+/// backends — while the advisory counters legitimately vary and ride
+/// outside the summary, on [`asyncsynth::Verified::advisory_metrics`].
 #[test]
 fn deterministic_metrics_identical_while_advisory_counters_ride_outside() {
     for (name, spec) in specs() {
-        let run = |backend: Backend, strategy: VerifyStrategy, incremental: bool| {
-            let options = SynthesisOptions {
-                backend,
-                verify: VerifyOptions::default()
-                    .with_strategy(strategy)
-                    .with_incremental(incremental),
-                ..Default::default()
-            };
-            let verified = Synthesis::with_options(spec.clone(), options.clone())
-                .run()
-                .unwrap_or_else(|e| panic!("{name} ({backend}/{strategy}): {e}"));
+        let metrics = |backend: Backend| {
+            let (verified, options) = run(name, &spec, backend);
             let summary = SynthesisSummary::from_verified(&verified, &options);
             (
                 summary.metrics.render(),
                 verified.advisory_metrics().clone(),
             )
         };
-        let (reference, baseline_advisory) =
-            run(Backend::Explicit, VerifyStrategy::ExplicitBfs, false);
-        assert!(
-            baseline_advisory.get("incremental_full_misses").is_none(),
-            "{name}: no memo counters without the incremental engine"
-        );
+        let (reference, _) = metrics(Backend::Explicit);
         for &backend in flow_backends() {
-            for strategy in STRATEGIES {
-                let (metrics, _) = run(backend, strategy, false);
-                assert_eq!(metrics, reference, "{name}: {backend}/{strategy} metrics");
-            }
-            let (metrics, advisory) = run(backend, VerifyStrategy::Composed, true);
-            assert_eq!(metrics, reference, "{name}: {backend}/incremental metrics");
-            assert!(
-                advisory.get("incremental_full_misses").is_some(),
-                "{name}: the incremental engine surfaces its memo counters \
-                 as advisory telemetry: {advisory:?}"
-            );
+            let (rendered, advisory) = metrics(backend);
+            assert_eq!(rendered, reference, "{name}: {backend} metrics");
             if backend != Backend::Explicit {
-                let (_, advisory) = run(backend, VerifyStrategy::Composed, false);
                 assert!(
                     advisory.get("bdd_nodes").is_some(),
                     "{name}: the resident backend reports its BDD size: {advisory:?}"
@@ -260,7 +185,7 @@ fn wide_circuit(spec: &Stg) -> (Netlist, Vec<NetId>) {
 
 /// The probe the tentpole is named for: a resident `SymbolicSet` space
 /// with 131 072 states — double the 2^16 materialise limit — verifies
-/// set-level through the composed strategy, decoding *zero* states and
+/// set-level through the composed engine, decoding *zero* states and
 /// never materialising a per-state view. Before this engine the
 /// pipeline refused any per-state verification on such spaces.
 #[test]
@@ -272,13 +197,7 @@ fn verification_runs_on_resident_space_above_materialise_limit() {
         "probe space must exceed the materialise limit"
     );
     let (netlist, nets) = wide_circuit(&spec);
-    let report = verify_with(
-        &spec,
-        &space,
-        &netlist,
-        &nets,
-        &VerifyOptions::default(), // composed strategy is the default
-    );
+    let report = verify_circuit(&spec, &space, &netlist, &nets);
     assert!(report.is_speed_independent(), "{}", report.summary());
     assert_eq!(report.states_explored, 2 * 4usize.pow(8));
     assert_eq!(
